@@ -204,10 +204,6 @@ void usage() {
       "                SimComm backend: rank threads in-process (default)\n"
       "                or forked processes over shared memory (or set\n"
       "                MLMD_TRANSPORT)\n"
-      "  --comm=sync|async\n"
-      "                stepping-loop communication mode: fully blocking, or\n"
-      "                boundary exchanges overlapped with interior compute\n"
-      "                (default; bit-identical results; or set MLMD_COMM)\n"
       "pipeline robustness options (DESIGN.md Sec. 10):\n"
       "  --faults=SPEC           inject deterministic faults, e.g.\n"
       "                          'nan_force@step=25;exchange_fail@step=10,\n"
@@ -222,7 +218,7 @@ void usage() {
 
 /// Accepted --keys per subcommand (first the global ones).
 std::vector<std::string> known_keys(const std::string& cmd) {
-  std::vector<std::string> keys = {"threads", "trace", "transport", "comm"};
+  std::vector<std::string> keys = {"threads", "trace", "transport"};
   auto add = [&keys](std::initializer_list<const char*> more) {
     for (const char* k : more) keys.emplace_back(k);
   };
@@ -259,8 +255,6 @@ int main(int argc, char** argv) {
           static_cast<int>(cli.integer("threads", 0)));
     par::set_default_transport(cli.choice("transport", par::kTransportChoices,
                                           par::default_transport()));
-    par::set_default_comm_mode(cli.choice("comm", par::kCommModeChoices,
-                                          par::default_comm_mode()));
     const std::string trace_path =
         obs::init_tracing(cli.has("trace") ? cli.str("trace") : "");
     if (cmd == "pipeline") rc = run_pipeline_cmd(cli);

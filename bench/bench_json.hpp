@@ -16,7 +16,7 @@
 //   comm_seconds SimComm blocked-wait seconds over the measurement
 //   comm_overlap_seconds
 //                communication hidden behind compute: summed post->wait
-//                spans of the nonblocking handles (0 under --comm=sync)
+//                spans of the nonblocking handles
 //   handles_posted / handles_completed
 //                nonblocking CommHandles created / waited during the
 //                measurement; equal counts are the handle-leak invariant
@@ -31,10 +31,7 @@
 // When the measurement ran over a SimComm transport the object carries
 // an optional top-level "transport" string ("inproc" or "shm", DESIGN.md
 // Sec. 11) identifying the backend, so scaling points measured over real
-// process boundaries are distinguishable from threaded ones, and an
-// optional top-level "comm" string ("sync" or "async") recording the
-// stepping-loop communication mode (results are bit-identical across
-// modes; only wait/overlap seconds move).
+// process boundaries are distinguishable from threaded ones.
 //
 // Every file additionally carries an optional "machine" block
 //
@@ -183,7 +180,6 @@ inline LivenessStats liveness_stats_from_registry() {
 inline bool write(const std::string& path, const std::vector<Record>& recs,
                   const FtStats* ft = nullptr,
                   const std::string& transport = "",
-                  const std::string& comm_mode = "",
                   const ServeStats* serve = nullptr,
                   const LivenessStats* liveness = nullptr) {
   std::FILE* fp = std::fopen(path.c_str(), "w");
@@ -197,8 +193,6 @@ inline bool write(const std::string& path, const std::vector<Record>& recs,
   std::fprintf(fp, "]}, ");
   if (!transport.empty())
     std::fprintf(fp, "\"transport\": \"%s\", ", transport.c_str());
-  if (!comm_mode.empty())
-    std::fprintf(fp, "\"comm\": \"%s\", ", comm_mode.c_str());
   std::fprintf(fp, "\"records\": [\n");
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const auto& r = recs[i];

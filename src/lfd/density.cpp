@@ -13,7 +13,6 @@ std::vector<double> density(const SoAWave<Real>& w, const std::vector<double>& f
   if (f.size() != w.norb) throw std::invalid_argument("density: occupation size");
   std::vector<double> rho(w.grid.size(), 0.0);
   flops::add(3ull * w.grid.size() * w.norb);
-#pragma omp parallel for schedule(static)
   for (std::size_t g = 0; g < rho.size(); ++g) {
     double acc = 0.0;
     const auto* row = w.psi.row(g);
@@ -45,7 +44,6 @@ std::array<double, 3> macroscopic_current(const SoAWave<Real>& w,
     double acc = 0.0;
     const double theta = a[axis] * hs[axis] / units::c_light;
     const std::complex<double> ph(std::cos(theta), -std::sin(theta));
-#pragma omp parallel for reduction(+ : acc) schedule(static)
     for (std::size_t x = 0; x < g.nx; ++x) {
       for (std::size_t y = 0; y < g.ny; ++y)
         for (std::size_t z = 0; z < g.nz; ++z) {

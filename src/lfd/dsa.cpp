@@ -18,7 +18,6 @@ std::vector<double> DsaHartree::laplacian(const std::vector<double>& u) const {
   const double cy = 1.0 / (grid_.hy * grid_.hy);
   const double cz = 1.0 / (grid_.hz * grid_.hz);
   flops::add(10ull * u.size());
-#pragma omp parallel for collapse(2) schedule(static)
   for (std::size_t x = 0; x < grid_.nx; ++x) {
     for (std::size_t y = 0; y < grid_.ny; ++y) {
       const std::size_t xm = grid::Grid3::wrap(static_cast<std::ptrdiff_t>(x) - 1, grid_.nx);
@@ -60,7 +59,6 @@ void DsaHartree::update(const std::vector<double>& rho) {
   for (int it = 0; it < opt_.substeps; ++it) {
     auto lap = laplacian(phi_);
     flops::add(6ull * phi_.size());
-#pragma omp parallel for schedule(static)
     for (std::size_t i = 0; i < phi_.size(); ++i) {
       const double accel = lap[i] + fourpi * rho[i];
       phi_dot_[i] = (1.0 - opt_.gamma) * phi_dot_[i] + dt2c2 * accel;

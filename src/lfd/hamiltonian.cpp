@@ -33,7 +33,6 @@ la::Matrix<std::complex<Real>> apply_hloc(const SoAWave<Real>& w,
     tph_conj[axis] = std::conj(tph[axis]);
   }
 
-#pragma omp parallel for collapse(2) schedule(static)
   for (std::size_t x = 0; x < g.nx; ++x) {
     for (std::size_t y = 0; y < g.ny; ++y) {
       for (std::size_t z = 0; z < g.nz; ++z) {

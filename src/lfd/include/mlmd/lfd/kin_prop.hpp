@@ -16,8 +16,8 @@
 //   kBaseline  - AoS layout, per-orbital sweeps, naive indexing
 //   kReordered - SoA layout, orbital-innermost loops (Sec. V.B.2)
 //   kBlocked   - + orbital blocking/tiling (Sec. V.B.3)
-//   kParallel  - + hierarchical parallel regions over (plane x block)
-//                collapsed OpenMP loops (Sec. V.B.4)
+//   kParallel  - + hierarchical parallel regions: (plane x block) chunks
+//                on the shared par::ThreadPool (Sec. V.B.4)
 // All variants compute the same propagator; tests assert bitwise-close
 // agreement.
 

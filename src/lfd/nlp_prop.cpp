@@ -115,7 +115,6 @@ void renormalize(SoAWave<Real>& w) {
   std::vector<Real> inv(w.norb);
   for (std::size_t s = 0; s < w.norb; ++s)
     inv[s] = static_cast<Real>(1.0 / std::sqrt(std::max(n2[s] * dv, 1e-300)));
-#pragma omp parallel for schedule(static)
   for (std::size_t g = 0; g < w.grid.size(); ++g) {
     auto* row = w.psi.row(g);
     for (std::size_t s = 0; s < w.norb; ++s) row[s] *= inv[s];

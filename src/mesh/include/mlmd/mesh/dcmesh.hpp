@@ -45,7 +45,7 @@ struct StepStats {
 };
 
 /// In-flight MD step between md_step_begin and md_step_finish
-/// (communication/computation overlap, --comm=async).
+/// (communication/computation overlap in run_parallel_mesh).
 struct PendingStep {
   StepStats stats;
   bool open = false;
@@ -64,7 +64,7 @@ public:
   /// (used by the multiscale Maxwell coupling, which owns A(X, t)).
   StepStats md_step_with_a(double a_value);
 
-  // --- split-phase MD step (--comm=async overlap) ----------------------
+  // --- split-phase MD step (comm/compute overlap) ---------------------
   // md_step_with_a(a) == md_step_finish(md_step_begin(), a), instruction
   // for instruction: begin runs the A-independent front of the step (ion
   // forces + Verlet positions, delta_v_loc exchange) so the caller can

@@ -85,20 +85,7 @@ ParallelMeshResult run_parallel_mesh(int nranks, const ParallelMeshOptions& opt)
     const double dt_md = dom.md_dt();
     const int em_substeps = std::max(1, static_cast<int>(dt_md / dt_em));
 
-    // (3) replicated Maxwell advance over one MD step (shared by both
-    // comm modes; consumes the gathered per-domain currents).
     std::vector<double> j_cells(ncells, 0.0);
-    const auto advance_em = [&](const std::vector<double>& j_all) {
-      for (int d = 0; d < nd; ++d) {
-        const std::size_t cell =
-            pad + static_cast<std::size_t>(d) * opt.maxwell_cells_per_domain +
-            opt.maxwell_cells_per_domain / 2;
-        j_cells[cell] = j_all[static_cast<std::size_t>(d)];
-      }
-      for (int s = 0; s < em_substeps; ++s) em.step(j_cells);
-    };
-
-    const bool overlap = par::default_comm_mode() == par::CommMode::kAsync;
     std::vector<double> j_all;
     for (int step = 0; step < opt.md_steps; ++step) {
       // (1) local macroscopic current at this domain's macro cell.
@@ -107,26 +94,28 @@ ParallelMeshResult run_parallel_mesh(int nranks, const ParallelMeshOptions& opt)
       const double j_mine = j[static_cast<std::size_t>(
           opt.mesh.polarization_axis)];
 
-      if (overlap) {
-        // (2') post the current allgather, then run the A-independent
-        // front of the MD step (ion forces, Verlet positions, delta_v_loc
-        // exchange) while the collective flies; complete it, advance
-        // Maxwell, and finish the step with the fresh local A. Identical
-        // op order within each subsystem, so results are bit-identical to
-        // the synchronous path (asserted in test_mesh and benchsmoke).
-        auto h = comm.iallgather(j_mine);
-        obs::ObsScope step_span("mesh.md_step", obs::Cat::kStep);
-        auto pending = dom.md_step_begin();
-        comm.wait_into(h, j_all);
-        advance_em(j_all);
-        dom.md_step_finish(pending, em.a_at(my_cell));
-      } else {
-        // (2) allgather of per-domain currents (one double per rank).
-        j_all = comm.allgather(j_mine);
-        advance_em(j_all);
-        // (4) domain MD step with the local vector potential.
-        dom.md_step_with_a(em.a_at(my_cell));
+      // (2) post the current allgather, then run the A-independent front
+      // of the MD step (ion forces, Verlet positions, delta_v_loc
+      // exchange) while the collective flies. Identical op order within
+      // each subsystem, so results equal the blocking md_step_with_a
+      // composition bit for bit.
+      auto h = comm.iallgather(j_mine);
+      obs::ObsScope step_span("mesh.md_step", obs::Cat::kStep);
+      auto pending = dom.md_step_begin();
+      comm.wait_into(h, j_all);
+
+      // (3) replicated Maxwell advance over one MD step, driven by the
+      // gathered per-domain currents.
+      for (int d = 0; d < nd; ++d) {
+        const std::size_t cell =
+            pad + static_cast<std::size_t>(d) * opt.maxwell_cells_per_domain +
+            opt.maxwell_cells_per_domain / 2;
+        j_cells[cell] = j_all[static_cast<std::size_t>(d)];
       }
+      for (int s = 0; s < em_substeps; ++s) em.step(j_cells);
+
+      // (4) finish the domain MD step with the fresh local A.
+      dom.md_step_finish(pending, em.a_at(my_cell));
     }
 
     // (5) single n_exc gather to rank 0 (Sec. V.A.8).

@@ -55,7 +55,6 @@ void Multigrid::smooth(const Level& lv, std::vector<double>& u,
     // Red-black ordering keeps Gauss-Seidel data-parallel (the paper's
     // "uniform operations on nearest-neighbor mesh points", Sec. A.5).
     for (int color = 0; color < 2; ++color) {
-#pragma omp parallel for collapse(2) schedule(static)
       for (std::size_t x = 0; x < lv.nx; ++x) {
         for (std::size_t y = 0; y < lv.ny; ++y) {
           const std::size_t xm = wrap(static_cast<std::ptrdiff_t>(x) - 1, lv.nx);
@@ -90,7 +89,6 @@ std::vector<double> Multigrid::compute_residual(const Level& lv,
   const double diag = 2.0 * (cx + cy + cz);
   std::vector<double> r(u.size());
   flops::add(12ull * u.size());
-#pragma omp parallel for collapse(2) schedule(static)
   for (std::size_t x = 0; x < lv.nx; ++x) {
     for (std::size_t y = 0; y < lv.ny; ++y) {
       const std::size_t xm = wrap(static_cast<std::ptrdiff_t>(x) - 1, lv.nx);
@@ -118,7 +116,6 @@ std::vector<double> Multigrid::restrict_full_weight(const Level& fine,
   std::vector<double> rc(cnx * cny * cnz);
   // 27-point full weighting with periodic wrap.
   static const double w[3] = {0.25, 0.5, 0.25};
-#pragma omp parallel for collapse(2) schedule(static)
   for (std::size_t X = 0; X < cnx; ++X) {
     for (std::size_t Y = 0; Y < cny; ++Y) {
       for (std::size_t Z = 0; Z < cnz; ++Z) {
@@ -142,7 +139,6 @@ std::vector<double> Multigrid::restrict_full_weight(const Level& fine,
 void Multigrid::prolong_add(const Level& fine, const std::vector<double>& coarse,
                             std::vector<double>& u) const {
   const std::size_t cnx = fine.nx / 2, cny = fine.ny / 2, cnz = fine.nz / 2;
-#pragma omp parallel for collapse(2) schedule(static)
   for (std::size_t x = 0; x < fine.nx; ++x) {
     for (std::size_t y = 0; y < fine.ny; ++y) {
       for (std::size_t z = 0; z < fine.nz; ++z) {

@@ -93,7 +93,6 @@ void angular_descriptors(const qxmd::Atoms& atoms, const qxmd::NeighborList& nl,
   if (out.size() < n * stride || offset + nc > stride)
     throw std::invalid_argument("angular_descriptors: layout mismatch");
 
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i)
     angular_features_for_atom(atoms, nl, basis, i, out.data() + i * stride + offset);
 }

@@ -52,7 +52,6 @@ std::vector<double> atom_descriptors(const qxmd::Atoms& atoms,
   const std::size_t width = nb * static_cast<std::size_t>(ntypes);
   std::vector<double> out(n * width, 0.0);
   flops::add(8ull * nb * nl.pair_count());
-#pragma omp parallel for schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<double> g, dg;
     for (auto j : nl.neighbors(i)) {

@@ -239,33 +239,6 @@ const char* transport_name(TransportKind kind);
 TransportKind default_transport();
 void set_default_transport(TransportKind kind);
 
-/// Communication/computation overlap mode of the stepping hot paths
-/// (--comm=sync|async). kSync keeps the historical fully-blocking
-/// structure; kAsync posts boundary exchanges early and computes interior
-/// work while they fly (mesh::multidomain, lfd band ring). Both modes are
-/// bit-identical in results and per-rank comm_bytes — only the measured
-/// wait/overlap seconds differ.
-enum class CommMode { kSync, kAsync };
-
-/// (name, value) table for Cli::choice — the accepted --comm spellings.
-inline constexpr std::pair<const char*, CommMode> kCommModeChoices[] = {
-    {"sync", CommMode::kSync},
-    {"async", CommMode::kAsync},
-};
-
-/// Parse a --comm value (kCommModeChoices spellings); throws
-/// std::invalid_argument on anything else. Used for the MLMD_COMM
-/// environment variable; command lines go through Cli::choice.
-CommMode parse_comm_mode(const std::string& name);
-const char* comm_mode_name(CommMode mode);
-
-/// Process-wide overlap mode consulted by the restructured consumers.
-/// Initialized from the MLMD_COMM environment variable on first use;
-/// async is the (tested) default. set_default_comm_mode (the --comm
-/// flag) overrides it.
-CommMode default_comm_mode();
-void set_default_comm_mode(CommMode mode);
-
 /// Process-wide transport progress timeout in SECONDS (DESIGN.md
 /// Sec. 15). When > 0, every blocking transport wait — barrier, exchange,
 /// recv, the shm park path, and CommHandle::wait (which runs the blocking

@@ -184,36 +184,6 @@ void set_default_transport(TransportKind kind) {
   default_transport_slot() = kind;
 }
 
-CommMode parse_comm_mode(const std::string& name) {
-  for (const auto& [spelling, mode] : kCommModeChoices)
-    if (name == spelling) return mode;
-  throw std::invalid_argument("unknown comm mode '" + name +
-                              "' (expected sync|async)");
-}
-
-const char* comm_mode_name(CommMode mode) {
-  return mode == CommMode::kSync ? "sync" : "async";
-}
-
-namespace {
-
-CommMode env_default_comm_mode() {
-  if (const char* e = std::getenv("MLMD_COMM"); e && *e)
-    return parse_comm_mode(e);
-  return CommMode::kAsync;
-}
-
-CommMode& default_comm_mode_slot() {
-  static CommMode mode = env_default_comm_mode();
-  return mode;
-}
-
-} // namespace
-
-CommMode default_comm_mode() { return default_comm_mode_slot(); }
-
-void set_default_comm_mode(CommMode mode) { default_comm_mode_slot() = mode; }
-
 namespace {
 
 double env_progress_timeout() {

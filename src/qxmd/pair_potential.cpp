@@ -28,7 +28,6 @@ double lj_energy_forces(const Atoms& atoms, const NeighborList& nl,
 
   double energy = 0.0;
   flops::add(30ull * nl.pair_count());
-#pragma omp parallel for reduction(+ : energy) schedule(static)
   for (std::size_t i = 0; i < n; ++i) {
     const double* ri = atoms.pos(i);
     double fi[3] = {0, 0, 0};

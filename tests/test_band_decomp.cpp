@@ -122,49 +122,6 @@ TEST_P(BandSweep, DistributedNlpPropMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Ranks, BandSweep, ::testing::Values(1, 2, 3, 4));
 
-TEST(BandDecomp, AsyncRingBitIdenticalToSync) {
-  // --comm=async posts each ring round's slice transfer before the
-  // round's block GEMM (and ring_prefetch can post round 0 even earlier).
-  // Transfer order and payloads are unchanged, so the propagated slices
-  // must be bit-identical to the synchronous ring, not merely close.
-  const grid::Grid3 g{4, 4, 4, 0.6, 0.6, 0.6};
-  const std::size_t norb = 6;
-  constexpr int kRanks = 3;
-  SoAWave<double> wave(g, norb);
-  init_plane_waves(wave);
-  auto psi0 = wave.psi;
-  mlmd::Rng rng(11);
-  for (std::size_t i = 0; i < wave.psi.size(); ++i)
-    wave.psi.data()[i] += cd(0.01 * rng.normal(), 0.01 * rng.normal());
-  auto psi_t = wave.psi;
-  const cd delta(0.0, -0.03);
-
-  auto run_mode = [&](par::CommMode mode) {
-    const par::CommMode saved = par::default_comm_mode();
-    par::set_default_comm_mode(mode);
-    std::vector<la::Matrix<cd>> out(kRanks);
-    par::run(kRanks, [&](par::Comm& comm) {
-      auto layout = BandLayout::split(comm, norb);
-      auto my_psi = slice_cols(psi_t, layout.s0, layout.s1);
-      auto my_psi0 = slice_cols(psi0, layout.s0, layout.s1);
-      auto pre = ring_prefetch(comm, my_psi0);
-      distributed_nlp_prop(comm, layout, g, my_psi, my_psi0, delta, &pre);
-      out[static_cast<std::size_t>(comm.rank())] = std::move(my_psi);
-    });
-    par::set_default_comm_mode(saved);
-    return out;
-  };
-  const auto sync = run_mode(par::CommMode::kSync);
-  const auto async = run_mode(par::CommMode::kAsync);
-  for (int r = 0; r < kRanks; ++r) {
-    const auto& a = sync[static_cast<std::size_t>(r)];
-    const auto& b = async[static_cast<std::size_t>(r)];
-    ASSERT_EQ(a.size(), b.size()) << "rank " << r;
-    for (std::size_t i = 0; i < a.size(); ++i)
-      EXPECT_EQ(a.data()[i], b.data()[i]) << "rank " << r << " elem " << i;
-  }
-}
-
 TEST(BandDecomp, RingTrafficScalesWithRanks) {
   const std::size_t ngrid = 32, norb = 8;
   auto psi = random_psi(ngrid, norb, 5);

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "mlmd/common/cli.hpp"
 #include "mlmd/ft/checkpoint.hpp"
 #include "mlmd/ft/fault.hpp"
@@ -33,9 +35,12 @@ namespace {
 using namespace mlmd;
 
 /// Removes a test artifact (and its .tmp sibling) on scope exit, so a
-/// failing assertion cannot leak files into the build tree.
+/// failing assertion cannot leak files into the build tree. The name is
+/// suffixed with the process id: ctest runs this binary in several lanes
+/// at once, from the same directory.
 struct ScopedFile {
-  explicit ScopedFile(std::string p) : path(std::move(p)) {}
+  explicit ScopedFile(const std::string& stem)
+      : path(stem + "." + std::to_string(::getpid())) {}
   ~ScopedFile() {
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());

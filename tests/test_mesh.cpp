@@ -4,11 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include "mlmd/mesh/baseline.hpp"
 #include "mlmd/mesh/dcmesh.hpp"
 #include "mlmd/mesh/multidomain.hpp"
+#include "mlmd/par/thread_pool.hpp"
 #include "mlmd/par/transport.hpp"
 
 namespace {
@@ -128,52 +133,56 @@ TEST(Multidomain, SingleRankWorks) {
   ASSERT_EQ(res.n_exc_per_domain.size(), 1u);
 }
 
-TEST(Multidomain, AsyncCommBitIdenticalToSync) {
-  // --comm=async posts the current allgather before the A-independent
-  // half of the MD step and splits the step around the wait; the op
-  // order, payloads, and arithmetic are unchanged, so every gathered
-  // observable — and the metered traffic — must be bit-identical to the
-  // synchronous loop, not merely close.
+TEST(Multidomain, BitIdenticalAcrossPoolThreads) {
+  // One DC-MESH code path (overlapped current allgather, kernels on the
+  // rank thread or the shared pool): every gathered observable must be
+  // bit-identical for any pool size, over either transport, and across
+  // repeated runs — compared as bytes, not within ULPs.
   ParallelMeshOptions opt;
   opt.md_steps = 2;
   opt.grid_n = 8;
   opt.norb = 4;
   opt.nfilled = 2;
   opt.mesh = fast_options();
-  const par::CommMode saved = par::default_comm_mode();
-  par::set_default_comm_mode(par::CommMode::kSync);
-  auto s = run_parallel_mesh(3, opt);
-  par::set_default_comm_mode(par::CommMode::kAsync);
-  auto a = run_parallel_mesh(3, opt);
-  par::set_default_comm_mode(saved);
-  ASSERT_EQ(s.n_exc_per_domain.size(), a.n_exc_per_domain.size());
-  for (std::size_t i = 0; i < s.n_exc_per_domain.size(); ++i)
-    EXPECT_EQ(s.n_exc_per_domain[i], a.n_exc_per_domain[i]) << "domain " << i;
-  EXPECT_EQ(s.traffic.collective_bytes, a.traffic.collective_bytes);
-  ASSERT_EQ(s.rank_traffic.size(), a.rank_traffic.size());
-  for (std::size_t r = 0; r < s.rank_traffic.size(); ++r) {
-    unsigned long long sb = 0, ab = 0;
-    for (const auto& [op, st] : s.rank_traffic[r].ops) sb += st.bytes;
-    for (const auto& [op, st] : a.rank_traffic[r].ops) ab += st.bytes;
-    EXPECT_EQ(sb, ab) << "rank " << r;
-  }
-  // The async loop really went through the nonblocking path.
-  for (const auto& rt : a.rank_traffic) {
-    EXPECT_GT(rt.handles_posted, 0u);
-    EXPECT_EQ(rt.handles_posted, rt.handles_completed);
-  }
-  for (const auto& rt : s.rank_traffic) EXPECT_EQ(rt.handles_posted, 0u);
-}
+  struct Restore {
+    int threads = par::ThreadPool::global().num_threads();
+    par::TransportKind transport = par::default_transport();
+    ~Restore() {
+      par::ThreadPool::set_global_threads(threads);
+      par::set_default_transport(transport);
+    }
+  } restore;
+  const auto run_with = [&](int threads, par::TransportKind transport) {
+    par::ThreadPool::set_global_threads(threads);
+    par::set_default_transport(transport);
+    return run_parallel_mesh(3, opt);
+  };
+  const int hw = static_cast<int>(
+      std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<ParallelMeshResult> runs;
+  for (int threads : {1, 2, hw})
+    runs.push_back(run_with(threads, par::TransportKind::kInproc));
+  for (auto transport : {par::TransportKind::kInproc, par::TransportKind::kShm})
+    runs.push_back(run_with(restore.threads, transport));
 
-TEST(Multidomain, DeterministicAcrossRuns) {
-  ParallelMeshOptions opt;
-  opt.md_steps = 1;
-  opt.mesh = fast_options();
-  auto a = run_parallel_mesh(2, opt);
-  auto b = run_parallel_mesh(2, opt);
-  ASSERT_EQ(a.n_exc_per_domain.size(), b.n_exc_per_domain.size());
-  for (std::size_t i = 0; i < a.n_exc_per_domain.size(); ++i)
-    EXPECT_DOUBLE_EQ(a.n_exc_per_domain[i], b.n_exc_per_domain[i]);
+  const auto& ref = runs.front();
+  ASSERT_EQ(ref.n_exc_per_domain.size(), 3u);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const auto& r = runs[i];
+    ASSERT_EQ(r.n_exc_per_domain.size(), ref.n_exc_per_domain.size());
+    EXPECT_EQ(std::memcmp(r.n_exc_per_domain.data(),
+                          ref.n_exc_per_domain.data(),
+                          ref.n_exc_per_domain.size() * sizeof(double)),
+              0)
+        << "run " << i;
+    EXPECT_EQ(std::memcmp(&r.total_n_exc, &ref.total_n_exc, sizeof(double)), 0)
+        << "run " << i;
+    // Every run went through the nonblocking path, leaking no handle.
+    for (const auto& rt : r.rank_traffic) {
+      EXPECT_GT(rt.handles_posted, 0u);
+      EXPECT_EQ(rt.handles_posted, rt.handles_completed);
+    }
+  }
 }
 
 } // namespace

@@ -444,7 +444,8 @@ TEST(HistogramQuantile, TracksKnownDistributionWithinBucketError) {
 
 TEST(ServeFork, WarmRestartAfterSigkillIsBitwiseIdentical) {
   namespace fs = std::filesystem;
-  const std::string dir = "test_serve_fork_ckpt";
+  // Per-process name: ctest runs this binary in several lanes at once.
+  const std::string dir = "test_serve_fork_ckpt." + std::to_string(::getpid());
   fs::remove_all(dir);
 
   std::vector<Request> reqs;

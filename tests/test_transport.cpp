@@ -240,7 +240,7 @@ TEST_P(TransportConformance, TrafficStatsCountEveryOp) {
   EXPECT_EQ(st.collective_bytes, 16u); // two 8-byte allgather contributions
 }
 
-// --- nonblocking (--comm=async) conformance --------------------------------
+// --- nonblocking conformance ----------------------------------------------
 
 TEST_P(TransportConformance, NonblockingCompletesOutOfPostingOrder) {
   int failures = 0;
@@ -532,14 +532,6 @@ TEST(TransportSelect, ParseAcceptsAliasesAndRejectsGarbage) {
   EXPECT_THROW(parse_transport("mpi"), std::invalid_argument);
   EXPECT_STREQ(transport_name(TransportKind::kInproc), "inproc");
   EXPECT_STREQ(transport_name(TransportKind::kShm), "shm");
-}
-
-TEST(TransportSelect, CommModeParseAcceptsNamesAndRejectsGarbage) {
-  EXPECT_EQ(parse_comm_mode("sync"), CommMode::kSync);
-  EXPECT_EQ(parse_comm_mode("async"), CommMode::kAsync);
-  EXPECT_THROW(parse_comm_mode("lazy"), std::invalid_argument);
-  EXPECT_STREQ(comm_mode_name(CommMode::kSync), "sync");
-  EXPECT_STREQ(comm_mode_name(CommMode::kAsync), "async");
 }
 
 } // namespace

@@ -21,7 +21,7 @@
 //   mlmd_serve [--tenants=4] [--per-tenant=2] [--out=DIR]
 //              [--checkpoint-dir=DIR] [--checkpoint-every=10]
 //              [--lattice=16] [--xs-steps=40] [--inflight=8]
-//              [--queue-cap=64] [--quota=0] [--batch-max=8] [--batch=1]
+//              [--queue-cap=64] [--quota=0] [--batch-max=8]
 //              [--verify-batching] [--threads=N] [--trace=PATH]
 //              [--deadline-ms=MS] [--shed-watermark-ms=MS]
 //              [--kill-at-round=N]   (test hook: SIGKILL mid-load)
@@ -31,7 +31,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -123,12 +122,11 @@ void usage() {
       "  --lattice=N --xs-steps=N     scenario size (default 16 / 40)\n"
       "  --inflight=N --queue-cap=N   scheduler slots / queue bound\n"
       "  --quota=N                    per-tenant queued+in-flight cap (0=off)\n"
-      "  --batch=0|1 --batch-max=N    cross-request inference batching\n"
-      "  --verify-batching            memcmp batched vs unbatched forces\n"
+      "  --batch-max=N                sessions per fused inference batch\n"
+      "  --verify-batching            memcmp fused vs single-lattice forces\n"
       "  --threads=N --trace=PATH     ThreadPool size / Chrome trace\n"
       "  --deadline-ms=MS             per-request deadline (reaped with\n"
-      "                               checkpoint kept; rerun resumes); also\n"
-      "                               MLMD_SERVE_DEADLINE_MS (flag wins)\n"
+      "                               checkpoint kept; rerun resumes)\n"
       "  --shed-watermark-ms=MS       reject new work while p95 queue wait\n"
       "                               exceeds MS (load shedding)\n"
       "  --kill-at-round=N            test hook: SIGKILL at scheduler round N\n"
@@ -147,7 +145,7 @@ int main(int argc, char** argv) {
   if (!cli.check_known(
           {"tenants", "per-tenant", "out", "checkpoint-dir",
            "checkpoint-every", "lattice", "xs-steps", "inflight", "queue-cap",
-           "quota", "batch", "batch-max", "verify-batching", "threads",
+           "quota", "batch-max", "verify-batching", "threads",
            "trace", "deadline-ms", "shed-watermark-ms", "kill-at-round",
            "term-at-round", "help"},
           "run 'mlmd_serve --help' for usage"))
@@ -192,7 +190,6 @@ int main(int argc, char** argv) {
     sopt.tenant_quota = static_cast<std::size_t>(cli.integer("quota", 0));
     sopt.max_inflight = static_cast<std::size_t>(cli.integer("inflight", 8));
     sopt.batch_max = static_cast<std::size_t>(cli.integer("batch-max", 8));
-    sopt.batch = cli.integer("batch", 1) != 0;
     sopt.verify_batching = cli.flag("verify-batching");
     sopt.checkpoint_dir = cli.str("checkpoint-dir", "");
     sopt.checkpoint_every =
@@ -200,23 +197,7 @@ int main(int argc, char** argv) {
     sopt.kill_at_round = cli.integer("kill-at-round", 0);
     sopt.term_at_round = cli.integer("term-at-round", 0);
     sopt.shed_watermark_ms = cli.real("shed-watermark-ms", 0.0);
-    double deadline_ms = cli.real("deadline-ms", -1.0);
-    if (deadline_ms < 0.0) {
-      // Environment fallback, flag wins (strict parse, like the flags).
-      if (const char* e = std::getenv("MLMD_SERVE_DEADLINE_MS"); e && *e) {
-        const std::string value(e);
-        std::size_t used = 0;
-        try {
-          deadline_ms = std::stod(value, &used);
-        } catch (...) {
-          used = 0;
-        }
-        if (used != value.size())
-          throw std::invalid_argument("MLMD_SERVE_DEADLINE_MS: bad value '" +
-                                      value + "'");
-      }
-    }
-    if (deadline_ms > 0.0) sopt.default_deadline_ms = deadline_ms;
+    sopt.default_deadline_ms = cli.real("deadline-ms", 0.0);
 
     serve::Server server(sopt, registry);
     server.start();

@@ -50,32 +50,6 @@
 //
 // sourced from the mlmd::obs registry; it is omitted entirely on
 // zero-fault runs so existing schema-v2 consumers are unaffected.
-//
-// Serving-load measurements (bench_serve_load, DESIGN.md Sec. 14) add an
-// optional "serve" block
-//
-//   "serve": {"mode": "closed", "tenants": N, "sessions": N,
-//             "offered_rps": R, "sustained_rps": R,
-//             "sustained_rps_batch1": R, "batch_speedup": X,
-//             "latency_p50_s": S, "latency_p95_s": S, "latency_p99_s": S,
-//             "batch_occupancy_mean": X, "completed": N, "rejected": N}
-//
-// recording offered vs. sustained scenario throughput, client-observed
-// latency percentiles, and the cross-request batching speedup (sustained
-// throughput vs. the same load served with batch size 1). Omitted unless
-// the bench actually served traffic.
-//
-// Runs that exercised the liveness layer (DESIGN.md Sec. 15) add an
-// optional "liveness" block
-//
-//   "liveness": {"deadline_hits": N, "sheds": N, "stall_detections": N,
-//                "drained": N, "drain_seconds": S}
-//
-// sourced from the serve.deadline.hits / serve.shed /
-// simcomm.stalls.detected / serve.drained / serve.drain.seconds
-// instruments; omitted entirely when no deadline fired, nothing was
-// shed, no stall was detected and no drain ran, so plain-throughput
-// files are byte-stable against pre-liveness consumers.
 
 #include <cstdio>
 #include <string>
@@ -116,39 +90,6 @@ struct FtStats {
   }
 };
 
-/// Serving-load totals for the optional "serve" block.
-struct ServeStats {
-  std::string mode = "closed"; ///< "closed" | "open"
-  unsigned long long tenants = 0;
-  unsigned long long sessions = 0;
-  double offered_rps = 0.0;
-  double sustained_rps = 0.0;
-  double sustained_rps_batch1 = 0.0;
-  double batch_speedup = 0.0;
-  double latency_p50_s = 0.0;
-  double latency_p95_s = 0.0;
-  double latency_p99_s = 0.0;
-  double batch_occupancy_mean = 0.0;
-  unsigned long long completed = 0;
-  unsigned long long rejected = 0;
-
-  bool any() const { return sessions != 0; }
-};
-
-/// Liveness totals for the optional "liveness" block (DESIGN.md Sec. 15).
-struct LivenessStats {
-  unsigned long long deadline_hits = 0;
-  unsigned long long sheds = 0;
-  unsigned long long stall_detections = 0;
-  unsigned long long drained = 0;
-  double drain_seconds = 0.0;
-
-  bool any() const {
-    return deadline_hits || sheds || stall_detections || drained ||
-           drain_seconds > 0.0;
-  }
-};
-
 /// Snapshot the process-global ft.* instruments. counter()/histogram()
 /// get-or-register, so this is safe even when the ft layer never ran.
 inline FtStats ft_stats_from_registry() {
@@ -163,25 +104,9 @@ inline FtStats ft_stats_from_registry() {
   return s;
 }
 
-/// Snapshot the process-global liveness instruments (DESIGN.md Sec. 15).
-/// Like ft_stats_from_registry, get-or-register makes this safe when the
-/// serve/transport liveness machinery never fired.
-inline LivenessStats liveness_stats_from_registry() {
-  auto& reg = obs::Registry::global();
-  LivenessStats s;
-  s.deadline_hits = reg.counter("serve.deadline.hits").value();
-  s.sheds = reg.counter("serve.shed").value();
-  s.stall_detections = reg.counter("simcomm.stalls.detected").value();
-  s.drained = reg.counter("serve.drained").value();
-  s.drain_seconds = reg.histogram("serve.drain.seconds").sum();
-  return s;
-}
-
 inline bool write(const std::string& path, const std::vector<Record>& recs,
                   const FtStats* ft = nullptr,
-                  const std::string& transport = "",
-                  const ServeStats* serve = nullptr,
-                  const LivenessStats* liveness = nullptr) {
+                  const std::string& transport = "") {
   std::FILE* fp = std::fopen(path.c_str(), "w");
   if (!fp) return false;
   std::fprintf(fp, "{\"schema_version\": %d, ", kSchemaVersion);
@@ -216,31 +141,6 @@ inline bool write(const std::string& path, const std::vector<Record>& recs,
                  ft->faults_injected, ft->faults_detected, ft->faults_recovered,
                  ft->checkpoint_writes, ft->checkpoint_bytes,
                  ft->checkpoint_seconds);
-  }
-  if (serve && serve->any()) {
-    std::fprintf(
-        fp,
-        ",\n\"serve\": {\"mode\": \"%s\", \"tenants\": %llu, "
-        "\"sessions\": %llu, \"offered_rps\": %.6g, "
-        "\"sustained_rps\": %.6g, \"sustained_rps_batch1\": %.6g, "
-        "\"batch_speedup\": %.6g, \"latency_p50_s\": %.6g, "
-        "\"latency_p95_s\": %.6g, \"latency_p99_s\": %.6g, "
-        "\"batch_occupancy_mean\": %.6g, \"completed\": %llu, "
-        "\"rejected\": %llu}",
-        serve->mode.c_str(), serve->tenants, serve->sessions,
-        serve->offered_rps, serve->sustained_rps, serve->sustained_rps_batch1,
-        serve->batch_speedup, serve->latency_p50_s, serve->latency_p95_s,
-        serve->latency_p99_s, serve->batch_occupancy_mean, serve->completed,
-        serve->rejected);
-  }
-  if (liveness && liveness->any()) {
-    std::fprintf(fp,
-                 ",\n\"liveness\": {\"deadline_hits\": %llu, \"sheds\": %llu, "
-                 "\"stall_detections\": %llu, \"drained\": %llu, "
-                 "\"drain_seconds\": %.6g}",
-                 liveness->deadline_hits, liveness->sheds,
-                 liveness->stall_detections, liveness->drained,
-                 liveness->drain_seconds);
   }
   std::fprintf(fp, "}\n");
   std::fclose(fp);

@@ -149,11 +149,20 @@ int main(int argc, char** argv) {
 
   if (cli.has("json")) {
     const std::vector<benchjson::Record> recs{
-        {"table2_small_net", m_small.gflops, m_small.bytes_alloc,
-         m_small.sec_per_step, m_small.comm.bytes, m_small.comm.wait_seconds,
-         m_small.span_count},
-        {"table2_big_net", m_big.gflops, m_big.bytes_alloc, m_big.sec_per_step,
-         m_big.comm.bytes, m_big.comm.wait_seconds, m_big.span_count},
+        {.kernel = "table2_small_net",
+         .gflops = m_small.gflops,
+         .bytes_alloc = m_small.bytes_alloc,
+         .seconds = m_small.sec_per_step,
+         .comm_bytes = m_small.comm.bytes,
+         .comm_seconds = m_small.comm.wait_seconds,
+         .span_count = m_small.span_count},
+        {.kernel = "table2_big_net",
+         .gflops = m_big.gflops,
+         .bytes_alloc = m_big.bytes_alloc,
+         .seconds = m_big.sec_per_step,
+         .comm_bytes = m_big.comm.bytes,
+         .comm_seconds = m_big.comm.wait_seconds,
+         .span_count = m_big.span_count},
     };
     const std::string path = cli.str("json");
     const auto ft_stats = benchjson::ft_stats_from_registry();

@@ -12,14 +12,13 @@
 //   kernel/gflops/bytes_alloc/seconds/comm_bytes/comm_seconds/
 //   comm_overlap_seconds/handles_posted/handles_completed/span_count.
 //   Per record, handles_completed must equal handles_posted (no leaked
-//   nonblocking CommHandles) and comm_overlap_seconds must be >= 0.
+//   nonblocking CommHandles) and comm_overlap_seconds must be >= 0, and
+//   0 when no handle completed.
 //   An optional "ft" object (fault-tolerance totals, DESIGN.md Sec. 10)
 //   must, when present, carry numeric faults_injected/faults_detected/
 //   faults_recovered/checkpoint_writes/checkpoint_bytes/
 //   checkpoint_seconds with detected >= recovered and non-negative
-//   values. An optional "liveness" object (DESIGN.md Sec. 15) must carry
-//   numeric deadline_hits/sheds/stall_detections/drained/drain_seconds,
-//   all non-negative, with drain_seconds > 0 implying drained > 0.
+//   values.
 //
 // The file kind is detected from the top-level value. Exit 0 on a valid
 // file (a one-line summary is printed), 1 on any structural violation.
@@ -294,11 +293,22 @@ int check_bench(const Value& root) {
                    i, posted, completed);
       return 1;
     }
-    if (field(r, "comm_overlap_seconds", Value::Kind::kNumber)->num < 0.0) {
+    const double overlap = field(r, "comm_overlap_seconds",
+                                 Value::Kind::kNumber)->num;
+    if (overlap < 0.0) {
       std::fprintf(stderr,
                    "trace_check: record %zu has negative "
                    "comm_overlap_seconds\n",
                    i);
+      return 1;
+    }
+    // Overlap is summed post->wait time of completed handles, so a record
+    // that completed none cannot report any (a misfilled record can).
+    if (overlap > 0.0 && completed == 0.0) {
+      std::fprintf(stderr,
+                   "trace_check: record %zu reports comm_overlap_seconds "
+                   "%g with no completed handles\n",
+                   i, overlap);
       return 1;
     }
   }
@@ -389,111 +399,12 @@ int check_bench(const Value& root) {
     have_ft = true;
   }
 
-  // Optional serving-load block (DESIGN.md Sec. 14): numeric throughput /
-  // latency / occupancy fields, a known mode tag, and ordered latency
-  // percentiles (p50 <= p95 <= p99 — a broken quantile estimator or a
-  // mislabeled lane fails loudly here).
-  bool have_serve = false;
-  if (root.obj.count("serve")) {
-    const Value* sv = field(root, "serve", Value::Kind::kObject);
-    if (!sv) {
-      std::fprintf(stderr, "trace_check: \"serve\" is not an object\n");
-      return 1;
-    }
-    const Value* mode = field(*sv, "mode", Value::Kind::kString);
-    if (!mode || (mode->str != "closed" && mode->str != "open")) {
-      std::fprintf(stderr,
-                   "trace_check: serve.mode must be \"closed\" or \"open\"\n");
-      return 1;
-    }
-    static const char* serve_keys[] = {
-        "tenants",        "sessions",     "offered_rps",
-        "sustained_rps",  "sustained_rps_batch1",
-        "batch_speedup",  "latency_p50_s", "latency_p95_s",
-        "latency_p99_s",  "batch_occupancy_mean",
-        "completed",      "rejected"};
-    for (const char* k : serve_keys) {
-      const Value* v = field(*sv, k, Value::Kind::kNumber);
-      if (!v) {
-        std::fprintf(stderr, "trace_check: serve block lacks numeric %s\n", k);
-        return 1;
-      }
-      if (v->num < 0.0) {
-        std::fprintf(stderr, "trace_check: serve.%s is negative\n", k);
-        return 1;
-      }
-    }
-    const double p50 = field(*sv, "latency_p50_s", Value::Kind::kNumber)->num;
-    const double p95 = field(*sv, "latency_p95_s", Value::Kind::kNumber)->num;
-    const double p99 = field(*sv, "latency_p99_s", Value::Kind::kNumber)->num;
-    if (p50 > p95 || p95 > p99) {
-      std::fprintf(stderr,
-                   "trace_check: serve latency percentiles out of order "
-                   "(p50 %g, p95 %g, p99 %g)\n",
-                   p50, p95, p99);
-      return 1;
-    }
-    const double sessions = field(*sv, "sessions", Value::Kind::kNumber)->num;
-    const double completed = field(*sv, "completed",
-                                   Value::Kind::kNumber)->num;
-    if (completed > sessions) {
-      std::fprintf(stderr,
-                   "trace_check: serve.completed (%g) exceeds "
-                   "serve.sessions (%g)\n",
-                   completed, sessions);
-      return 1;
-    }
-    have_serve = true;
-  }
-
-  // Optional liveness block (DESIGN.md Sec. 15): deadline hits, sheds,
-  // stall detections and drain totals must all be numeric and
-  // non-negative; emitters omit the block entirely on fully-live runs.
-  bool have_liveness = false;
-  if (root.obj.count("liveness")) {
-    const Value* lv = field(root, "liveness", Value::Kind::kObject);
-    if (!lv) {
-      std::fprintf(stderr, "trace_check: \"liveness\" is not an object\n");
-      return 1;
-    }
-    static const char* lv_keys[] = {"deadline_hits", "sheds",
-                                    "stall_detections", "drained",
-                                    "drain_seconds"};
-    for (const char* k : lv_keys) {
-      const Value* v = field(*lv, k, Value::Kind::kNumber);
-      if (!v) {
-        std::fprintf(stderr, "trace_check: liveness block lacks numeric %s\n",
-                     k);
-        return 1;
-      }
-      if (v->num < 0.0) {
-        std::fprintf(stderr, "trace_check: liveness.%s is negative\n", k);
-        return 1;
-      }
-    }
-    // A drain that took time must have drained at least one session —
-    // nonzero drain_seconds with drained == 0 means a mislabeled lane.
-    const double drained = field(*lv, "drained", Value::Kind::kNumber)->num;
-    const double drain_s = field(*lv, "drain_seconds",
-                                 Value::Kind::kNumber)->num;
-    if (drain_s > 0.0 && drained == 0.0) {
-      std::fprintf(stderr,
-                   "trace_check: liveness.drain_seconds (%g) nonzero with "
-                   "zero drained sessions\n",
-                   drain_s);
-      return 1;
-    }
-    have_liveness = true;
-  }
-
   std::printf(
-      "trace_check: OK, bench schema v%d, %zu records%s%s%s%s%s%s%s\n",
+      "trace_check: OK, bench schema v%d, %zu records%s%s%s%s%s\n",
       static_cast<int>(ver->num), recs->arr.size(),
       simd_target.empty() ? "" : ", simd ", simd_target.c_str(),
       transport.empty() ? "" : ", transport ", transport.c_str(),
-      have_ft ? ", ft block present" : "",
-      have_serve ? ", serve block present" : "",
-      have_liveness ? ", liveness block present" : "");
+      have_ft ? ", ft block present" : "");
   return 0;
 }
 

@@ -245,9 +245,21 @@ void gemm_engine(Trans ta, Trans tb, std::size_t m, std::size_t n,
   const std::size_t ntiles = (m + kMC - 1) / kMC;
   const std::size_t kc0 = std::min(kKC, k);
 
+  // All scratch comes from the caller's arena, sized by the call's shape
+  // and the pool size alone: the packed B slice plus one packed-A slot per
+  // pool participant (rounded to 64 bytes so every slot stays aligned).
+  // Which worker claims which tile then never decides which arena grows,
+  // so one warm-up call makes every later call with these shapes
+  // heap-free.
+  const std::size_t nslots = static_cast<std::size_t>(par::num_threads());
+  constexpr std::size_t kAlignElems = 64 / sizeof(R);
+  const std::size_t aslot =
+      ((std::min(kMC, m) + MR - 1) / MR * kc0 * MR * rpc + kAlignElems - 1) /
+      kAlignElems * kAlignElems;
   common::Workspace& ws = common::Workspace::local();
   common::Workspace::Frame frame(ws);
   R* bpanel = ws.get<R>(njb * kc0 * NR * rpc);
+  R* apanels = ws.get<R>(nslots * aslot);
 
   for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
     const std::size_t kc = std::min(kKC, k - p0);
@@ -266,13 +278,13 @@ void gemm_engine(Trans ta, Trans tb, std::size_t m, std::size_t n,
     // whole kMC row blocks (grain = 1 tile), so writes never overlap and
     // the result is bit-identical at any thread count.
     par::parallel_for(0, ntiles, 1, [&](std::size_t t0, std::size_t t1) {
-      common::Workspace& lws = common::Workspace::local();
+      R* apanel =
+          apanels + static_cast<std::size_t>(par::ThreadPool::participant()) *
+                        aslot;
       for (std::size_t ti = t0; ti < t1; ++ti) {
         const std::size_t i0 = ti * kMC;
         const std::size_t mc = std::min(kMC, m - i0);
         const std::size_t nib = (mc + MR - 1) / MR;
-        common::Workspace::Frame lf(lws);
-        R* apanel = lws.get<R>(nib * kc * MR * rpc);
         pack_a_panel(a, lda, ta, alpha, i0, mc, p0, kc, MR, apanel);
 
         for (std::size_t ib = 0; ib < nib; ++ib) {

@@ -96,9 +96,7 @@ ParallelMeshResult run_parallel_mesh(int nranks, const ParallelMeshOptions& opt)
 
       // (2) post the current allgather, then run the A-independent front
       // of the MD step (ion forces, Verlet positions, delta_v_loc
-      // exchange) while the collective flies. Identical op order within
-      // each subsystem, so results equal the blocking md_step_with_a
-      // composition bit for bit.
+      // exchange) while the collective flies.
       auto h = comm.iallgather(j_mine);
       obs::ObsScope step_span("mesh.md_step", obs::Cat::kStep);
       auto pending = dom.md_step_begin();

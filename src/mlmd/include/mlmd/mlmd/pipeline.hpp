@@ -156,10 +156,10 @@ class Session {
   double n_sat() const { return opt_.n_sat; }
 
   /// Advance one step with externally supplied mixed forces — `f` must be
-  /// what nnq::xs_mixed_forces would have produced (the batched path is
-  /// bitwise-identical, so this holds by construction). Taken by value:
-  /// the fault-injection hooks may corrupt the array in place. Throws
-  /// std::logic_error unless wants_neural_forces().
+  /// what nnq::xs_mixed_forces would have produced (that is the batched
+  /// path with a batch of one, so this holds by construction). Taken by
+  /// value: the fault-injection hooks may corrupt the array in place.
+  /// Throws std::logic_error unless wants_neural_forces().
   bool step_with(std::vector<ferro::Vec3> f);
 
   /// Write a stage-3 checkpoint of the current state to `path` (the same

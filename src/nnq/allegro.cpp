@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "mlmd/common/flops.hpp"
 #include "mlmd/obs/trace.hpp"
@@ -193,10 +194,9 @@ double LatticeModel::energy(const ferro::FerroLattice& lat) const {
 namespace {
 
 /// Accumulate -dE/du into `f` for the cells [c0, c1) of one lattice,
-/// reading their input gradients from dedg rows row0, row0+1, ... — the
-/// one scatter loop shared by the single-lattice and cross-lattice force
-/// paths, so both produce the identical FP accumulation order (cells
-/// strictly ascending).
+/// reading their input gradients from dedg rows row0, row0+1, ... (cells
+/// strictly ascending, so the FP accumulation order per lattice does not
+/// depend on where a block boundary falls).
 void scatter_lattice_forces(const ferro::FerroLattice& lat,
                             const la::Matrix<double>& dedg, std::size_t row0,
                             std::size_t c0, std::size_t c1,
@@ -227,22 +227,7 @@ void scatter_lattice_forces(const ferro::FerroLattice& lat,
 } // namespace
 
 std::vector<ferro::Vec3> LatticeModel::forces(const ferro::FerroLattice& lat) const {
-  const std::size_t lx = lat.lx(), ly = lat.ly();
-  std::vector<ferro::Vec3> f(lx * ly, ferro::Vec3{0, 0, 0});
-  std::vector<double> feat;
-  la::Matrix<double> feats, dedg;
-
-  for (std::size_t c0 = 0; c0 < lx * ly; c0 += kCellBlock) {
-    const std::size_t c1 = std::min(c0 + kCellBlock, lx * ly);
-    feats.resize(c1 - c0, kLatticeFeatures);
-    for (std::size_t c = c0; c < c1; ++c) {
-      lattice_features(lat, c / ly, c % ly, feat);
-      std::copy(feat.begin(), feat.end(), feats.row(c - c0));
-    }
-    net_.grad_input_batch(feats, dedg);
-    scatter_lattice_forces(lat, dedg, 0, c0, c1, f);
-  }
-  return f;
+  return std::move(forces_multi(*this, {&lat})[0]);
 }
 
 std::vector<std::vector<ferro::Vec3>> forces_multi(
@@ -300,15 +285,8 @@ std::vector<ferro::Vec3> xs_mixed_forces(const LatticeModel& gs,
                                          const LatticeModel& xs,
                                          const ferro::FerroLattice& lat,
                                          double n_exc, double n_sat) {
-  const double w = excitation_weight(n_exc, n_sat);
-  auto fg = gs.forces(lat);
-  auto fx = xs.forces(lat);
-  for (std::size_t i = 0; i < fg.size(); ++i)
-    for (int k = 0; k < 3; ++k)
-      fg[i][static_cast<std::size_t>(k)] =
-          (1.0 - w) * fg[i][static_cast<std::size_t>(k)] +
-          w * fx[i][static_cast<std::size_t>(k)];
-  return fg;
+  return std::move(
+      xs_mixed_forces_multi(gs, xs, {&lat}, {n_exc}, {n_sat})[0]);
 }
 
 std::vector<std::vector<ferro::Vec3>> xs_mixed_forces_multi(

@@ -84,7 +84,8 @@ public:
   /// Total predicted energy of the polarization field.
   double energy(const ferro::FerroLattice& lat) const;
 
-  /// Predicted generalized forces F = -dE/du per cell.
+  /// Predicted generalized forces F = -dE/du per cell: forces_multi over
+  /// a batch of one lattice.
   std::vector<ferro::Vec3> forces(const ferro::FerroLattice& lat) const;
 
 private:
@@ -93,7 +94,7 @@ private:
 
 /// Eq. (4): F_i = (1-w) F_GS,i + w F_XS,i, with the excitation fraction
 /// w = min(1, n_exc / n_sat) derived from DC-MESH's gathered excitation
-/// count (paper Sec. V.A.8).
+/// count (paper Sec. V.A.8). xs_mixed_forces_multi over a batch of one.
 std::vector<ferro::Vec3> xs_mixed_forces(const LatticeModel& gs,
                                          const LatticeModel& xs,
                                          const ferro::FerroLattice& lat,
@@ -101,14 +102,15 @@ std::vector<ferro::Vec3> xs_mixed_forces(const LatticeModel& gs,
 
 // --- cross-lattice batched inference ----------------------------------------
 //
-// The mlmd::serve micro-batcher's substrate: the cells of many lattices
-// (one per concurrent scenario) are concatenated into one feature stream
-// and pushed through Mlp::grad_input_batch in shared kCellBlock GEMM
-// batches. Because every batched Mlp pass is bitwise-identical per row to
-// the scalar pass (mlp.hpp contract, asserted in test_nnq), the per-cell
-// gradients — and therefore the scattered forces — do not depend on which
-// lattices share a batch: forces_multi(model, {&a, &b})[0] is
-// byte-identical to model.forces(a). Asserted in test_serve.
+// The one Eq. (4) force path. The cells of many lattices (one per
+// concurrent scenario in the mlmd::serve micro-batcher, a single one in
+// run_pipeline) are concatenated into one feature stream and pushed
+// through Mlp::grad_input_batch in shared kCellBlock GEMM batches. Because
+// every batched Mlp pass is bitwise-identical per row to the scalar pass
+// (mlp.hpp contract, asserted in test_nnq), the per-cell gradients — and
+// therefore the scattered forces — do not depend on which lattices share
+// a batch: forces_multi(model, {&a, &b})[0] is byte-identical to
+// model.forces(a) == forces_multi(model, {&a})[0]. Asserted in test_serve.
 
 /// Per-lattice forces for every lattice, evaluated through shared
 /// inference batches. Bitwise-identical to model.forces(*lats[i]) per i.

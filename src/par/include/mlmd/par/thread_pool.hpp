@@ -57,6 +57,14 @@ public:
 
   int num_threads() const { return nthreads_; }
 
+  /// Slot of the calling thread in the launch whose chunk it is running:
+  /// workers 0..nthreads-2, the launcher nthreads-1, and 0 for chunks run
+  /// inline (serial fallback, nested launch) or outside any launch. Threads
+  /// running chunks of one launch concurrently never share a slot, so a
+  /// kernel can carve per-slot scratch from its caller's Workspace up front
+  /// instead of growing each worker's arena on whatever chunk it claims.
+  static int participant();
+
   /// Run body(i0, i1) over disjoint subranges covering [begin, end).
   /// `grain` is the exact chunk width (see determinism contract); pick it
   /// so one chunk amortizes dispatch (>= ~10 us of work). Exceptions

@@ -935,6 +935,10 @@ TrafficStats run_shm(int nranks, const std::function<void(Comm&)>& body) {
   // Watchdog: reap children as they exit (any order — a crashed child
   // must poison the group even while its siblings still run) and convert
   // abnormal terminations into an error claim so nobody waits forever.
+  // A nonzero exit status counts too: a child that dies before it talks
+  // (a sanitizer's "Dying", an _Exit) writes no claim of its own. When the
+  // child did claim its exception, the first claim wins and this is a
+  // no-op.
   std::thread watchdog([&] {
     std::size_t remaining = pids.size();
     while (remaining > 0) {
@@ -952,6 +956,10 @@ TrafficStats run_shm(int nranks, const std::function<void(Comm&)>& body) {
       if (WIFSIGNALED(st)) {
         state->claim_error(rank, ErrTag::kRuntimeError,
                            "killed by signal " + std::to_string(WTERMSIG(st)));
+      } else if (WIFEXITED(st) && WEXITSTATUS(st) != 0) {
+        state->claim_error(rank, ErrTag::kRuntimeError,
+                           "exited with status " +
+                               std::to_string(WEXITSTATUS(st)));
       }
     }
   });

@@ -43,7 +43,27 @@ namespace {
 // Set while this thread executes inside a pool task: nested launches from
 // kernel bodies fall back to inline serial execution.
 thread_local bool tl_in_task = false;
+// ThreadPool::participant() of the calling thread.
+thread_local int tl_participant = 0;
+
+// Sets tl_participant for one stretch of chunk execution and restores the
+// enclosing value (a nested inline launch returns to its outer slot), also
+// when a chunk throws.
+class ParticipantScope {
+public:
+  explicit ParticipantScope(int slot) : saved_(tl_participant) {
+    tl_participant = slot;
+  }
+  ~ParticipantScope() { tl_participant = saved_; }
+  ParticipantScope(const ParticipantScope&) = delete;
+  ParticipantScope& operator=(const ParticipantScope&) = delete;
+
+private:
+  int saved_;
+};
 } // namespace
+
+int ThreadPool::participant() { return tl_participant; }
 
 ThreadPool::ThreadPool(int nthreads) {
   if (nthreads <= 0) {
@@ -89,6 +109,7 @@ void ThreadPool::worker_loop(int self) {
 void ThreadPool::work_on(const std::shared_ptr<Task>& t, int self) {
   const bool was_in_task = tl_in_task;
   tl_in_task = true;
+  ParticipantScope slot(self);
   std::uint32_t executed = 0;
   while (true) {
     const std::size_t c = t->next.fetch_add(1, std::memory_order_relaxed);
@@ -129,6 +150,7 @@ void ThreadPool::run_chunks(std::size_t nchunks,
   if (nthreads_ == 1 || nchunks == 1 || tl_in_task) {
     static auto& inline_launches = reg.counter("pool.inline_launches");
     inline_launches.add(1);
+    ParticipantScope slot(0);
     for (std::size_t c = 0; c < nchunks; ++c) chunk(c);
     return;
   }

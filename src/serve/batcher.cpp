@@ -51,7 +51,7 @@ std::size_t MicroBatcher::step_group(
              std::memcmp(ref.data(), f[i].data(),
                          ref.size() * sizeof(ferro::Vec3)) != 0))
           throw std::logic_error(
-              "MicroBatcher: batched forces differ from unbatched");
+              "MicroBatcher: fused forces differ from a batch of one");
       }
     }
 

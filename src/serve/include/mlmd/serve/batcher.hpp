@@ -10,8 +10,11 @@
 // Correctness is free, not approximate: every batched Mlp pass is
 // bitwise-identical per row to the scalar pass (mlp.hpp contract), so the
 // forces each session receives do not depend on who shared its batch.
-// `verify` re-derives each session's forces unbatched and memcmps —
-// the belt-and-braces mode the serve tests run with.
+// run_pipeline evaluates Eq. (4) through the same multi-lattice kernel
+// with a batch of one lattice, so served == run_pipeline by construction.
+// `verify` re-derives each session's forces as a batch of one and
+// memcmps — it catches a fused block that straddles lattices wrongly.
+// The serve tests run with it on.
 
 #include <cstddef>
 #include <vector>
@@ -23,9 +26,9 @@ namespace mlmd::serve {
 class MicroBatcher {
  public:
   /// `max_batch` caps sessions per fused evaluation (chunking bound, not a
-  /// drop); `verify` memcmps every batched force set against the
-  /// per-session nnq::xs_mixed_forces result and throws std::logic_error
-  /// on any mismatch.
+  /// drop); `verify` memcmps every fused force set against the same
+  /// session evaluated alone (nnq::xs_mixed_forces, a batch of one) and
+  /// throws std::logic_error on any mismatch.
   explicit MicroBatcher(std::size_t max_batch = 8, bool verify = false);
 
   /// Advance every session in `group` by one step with batch-evaluated

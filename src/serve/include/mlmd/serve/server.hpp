@@ -51,8 +51,7 @@ struct ServerOptions {
   std::size_t tenant_quota = 0;  ///< queued+in-flight cap per tenant (0=off)
   std::size_t max_inflight = 8;  ///< concurrently active sessions
   std::size_t batch_max = 8;     ///< sessions per fused inference batch
-  bool batch = true;             ///< false: per-session force evaluation
-  bool verify_batching = false;  ///< memcmp batched vs unbatched forces
+  bool verify_batching = false;  ///< memcmp fused vs single-lattice forces
   std::string checkpoint_dir;    ///< non-empty: warm-restart checkpoints
   int checkpoint_every = 10;     ///< steps between session checkpoints
   long kill_at_round = 0;        ///< test hook: SIGKILL at round N (0=off)

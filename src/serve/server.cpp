@@ -379,16 +379,15 @@ void Server::scheduler_loop() {
     if (active_.empty()) continue;
 
     // One stage-3 step for every active session this round. Sessions that
-    // can join a fused inference batch are grouped by model identity and
-    // stepped through the micro-batcher; the rest (kExact, degraded)
-    // step() individually.
+    // want neural forces are grouped by model identity and stepped through
+    // the micro-batcher; the rest (kExact, degraded) step() individually.
     std::vector<std::pair<pipeline::Session*, std::string>> failures;
     std::vector<Active*> solo;
     std::map<std::pair<const void*, const void*>,
              std::vector<pipeline::Session*>>
         groups;
     for (auto& a : active_) {
-      if (opt_.batch && a.session->wants_neural_forces())
+      if (a.session->wants_neural_forces())
         groups[{a.session->options().gs_model.get(),
                 a.session->options().xs_model.get()}]
             .push_back(a.session.get());

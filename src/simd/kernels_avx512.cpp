@@ -37,7 +37,11 @@ struct V512f {
   static reg mul(reg a, reg b) { return _mm512_mul_ps(a, b); }
   static reg add(reg a, reg b) { return _mm512_add_ps(a, b); }
   static reg sub(reg a, reg b) { return _mm512_sub_ps(a, b); }
-  static reg swap_pairs(reg v) { return _mm512_permute_ps(v, 0xB1); }
+  // Zero-masked form with an all-ones mask: the same VPERMILPS, without
+  // the _mm512_undefined_ps() passthrough GCC flags -Wmaybe-uninitialized.
+  static reg swap_pairs(reg v) {
+    return _mm512_maskz_permute_ps(static_cast<__mmask16>(0xFFFF), v, 0xB1);
+  }
   static reg alt(float x) {
     return _mm512_setr_ps(-x, x, -x, x, -x, x, -x, x, -x, x, -x, x, -x, x,
                           -x, x);
@@ -57,7 +61,9 @@ struct V512d {
   static reg mul(reg a, reg b) { return _mm512_mul_pd(a, b); }
   static reg add(reg a, reg b) { return _mm512_add_pd(a, b); }
   static reg sub(reg a, reg b) { return _mm512_sub_pd(a, b); }
-  static reg swap_pairs(reg v) { return _mm512_permute_pd(v, 0x55); }
+  static reg swap_pairs(reg v) {
+    return _mm512_maskz_permute_pd(static_cast<__mmask8>(0xFF), v, 0x55);
+  }
   static reg alt(double x) {
     return _mm512_setr_pd(-x, x, -x, x, -x, x, -x, x);
   }

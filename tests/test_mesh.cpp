@@ -78,7 +78,8 @@ TEST(DcMesh, PulseExcitesMoreThanDark) {
 
 TEST(DcMesh, FixedVectorPotentialPath) {
   auto dom = make_domain();
-  auto stats = dom.md_step_with_a(0.3);
+  auto pending = dom.md_step_begin();
+  auto stats = dom.md_step_finish(pending, 0.3);
   EXPECT_GE(stats.n_exc, 0.0);
   auto j = dom.current(0.3);
   EXPECT_TRUE(std::isfinite(j[0]) && std::isfinite(j[1]) && std::isfinite(j[2]));
@@ -103,10 +104,18 @@ TEST(Baseline, GlobalAndDcProduceTimings) {
 TEST(Baseline, GlobalPerElectronCostGrowsWithSize) {
   // The structural Table I claim: baseline T2S/electron grows with the
   // orbital count (O(N^2) orthogonalization); allow generous margin but
-  // require clear growth over a 8x size ratio.
-  auto small = run_global_baseline(8, 4, 3);
-  auto large = run_global_baseline(12, 32, 3);
-  EXPECT_GT(large.t2s_per_electron, 1.5 * small.t2s_per_electron);
+  // require clear growth over a 8x size ratio. Each side is the best of 5
+  // runs: the small case is ~0.1 ms of wall time, so one preemption of a
+  // pool worker in a single sample can inflate it past the large case.
+  auto best = [](std::size_t n, std::size_t norb) {
+    double t = run_global_baseline(n, norb, 3).t2s_per_electron;
+    for (int r = 1; r < 5; ++r)
+      t = std::min(t, run_global_baseline(n, norb, 3).t2s_per_electron);
+    return t;
+  };
+  const double small = best(8, 4);
+  const double large = best(12, 32);
+  EXPECT_GT(large, 1.5 * small);
 }
 
 TEST(Multidomain, RunsAndGathersNexc) {

@@ -387,10 +387,11 @@ TEST(SimdBf16, HardwareSlotPresentOnlyWithCpuidFlag) {
   for (auto t : simd::supported_targets()) {
     ScopedSimdTarget guard(t);
     const auto& kt = simd::kernels();
-    if (t == simd::Target::kAvx512 && simd::caps().avx512bf16)
+    if (t == simd::Target::kAvx512 && simd::caps().avx512bf16) {
       EXPECT_NE(kt.bf16_dot16, nullptr);
-    else if (t != simd::Target::kAvx512)
+    } else if (t != simd::Target::kAvx512) {
       EXPECT_EQ(kt.bf16_dot16, nullptr);
+    }
   }
 }
 

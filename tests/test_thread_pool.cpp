@@ -9,6 +9,7 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -120,6 +121,36 @@ TEST(ThreadPool, NestedLaunchRunsInline) {
                       [&](std::size_t, std::size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 80);
+}
+
+// participant() is what gemm indexes its per-slot scratch with: within one
+// launch a slot belongs to exactly one thread, a nested inline launch sees
+// slot 0, and the outer slot is back once it returns.
+TEST(ThreadPool, ParticipantSlotsAreDistinctAndInRange) {
+  ThreadPool pool(4);
+  EXPECT_EQ(ThreadPool::participant(), 0);
+  std::mutex mu;
+  std::vector<std::thread::id> owner(4);
+  std::atomic<int> bad{0};
+  pool.parallel_for(0, 64, 1, [&](std::size_t, std::size_t) {
+    const int slot = ThreadPool::participant();
+    if (slot < 0 || slot >= 4) {
+      bad.fetch_add(1);
+      return;
+    }
+    {
+      std::lock_guard lk(mu);
+      auto& o = owner[static_cast<std::size_t>(slot)];
+      if (o == std::thread::id{}) o = std::this_thread::get_id();
+      if (o != std::this_thread::get_id()) bad.fetch_add(1);
+    }
+    pool.parallel_for(0, 2, 1, [&](std::size_t, std::size_t) {
+      if (ThreadPool::participant() != 0) bad.fetch_add(1);
+    });
+    if (ThreadPool::participant() != slot) bad.fetch_add(1);
+  });
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(ThreadPool::participant(), 0);
 }
 
 TEST(ThreadPool, ConcurrentExternalLaunchersSerialize) {

@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -386,7 +387,7 @@ TEST_P(TransportConformance, RecvIntoReusesBufferAndSendrecvMatches) {
   EXPECT_EQ(failures, 0);
 }
 
-// --- peer death (SIGKILL) --------------------------------------------------
+// --- peer death (SIGKILL, silent exit) -------------------------------------
 
 // A peer that dies without unwinding (SIGKILL: no destructors, no error
 // record written) must still resolve into the tagged cross-process error
@@ -432,6 +433,30 @@ TEST_P(TransportConformance, PeerSigkillMidIrecvSurfacesTypedError) {
               std::string::npos)
         << "got: " << e.what();
   }
+}
+
+// A peer that exits with a nonzero status before it ever talks (a
+// sanitizer's "Dying", an _Exit) writes no error record either; the
+// watchdog claims "exited with status N" for it. Inproc simulates the exit
+// with a throw carrying the same text. The progress budget only bounds a
+// regression: a missed exit then fails as a stall instead of hanging.
+TEST_P(TransportConformance, PeerExitWithoutErrorSurfacesTypedError) {
+  set_progress_timeout(5.0);
+  std::string what = "no error surfaced";
+  try {
+    run_k(2, [&](Comm& c) {
+      if (c.rank() == 1) {
+        if (kind() == TransportKind::kShm) std::_Exit(3);
+        throw std::runtime_error("exited with status 3 (simulated)");
+      }
+      c.barrier(); // blocks until the exit is detected
+    });
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  set_progress_timeout(0.0);
+  EXPECT_NE(what.find("exited with status 3"), std::string::npos)
+      << "got: " << what;
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TransportConformance,

@@ -59,8 +59,6 @@ public:
   void send(int src, int dst, int tag,
             std::span<const std::byte> payload) override;
   std::vector<std::byte> recv(int dst, int src, int tag) override;
-  void recv_into(int dst, int src, int tag,
-                 std::vector<std::byte>& out) override;
 
   /// Split-phase collective: the post deposits this rank's contribution
   /// (so the collective can assemble while this rank computes); wait()
@@ -154,9 +152,6 @@ private:
   std::vector<std::byte> assembled_;
 
   std::map<Key, std::vector<std::vector<std::byte>>> mailboxes_;
-  // Retired message buffers recycled by send() (capacity kept), so the
-  // steady-state send -> recv_into loop allocates nothing. Guarded by mu_.
-  std::vector<std::vector<std::byte>> pool_;
 
   mutable std::mutex stats_mu_;
   TrafficStats stats_;
@@ -292,9 +287,9 @@ public:
     return recv<T>(src, tag);
   }
 
-  // --- nonblocking / reusable-buffer variants (--comm=async hot paths).
-  // Accounting parity: each accounts the identical op name and bytes as
-  // its blocking twin, so comm_bytes is bit-identical across --comm modes.
+  // --- nonblocking variants (DC-MESH posts iallgather; the Fig. 5 halo
+  // posts irecv/isend and completes with wait_into). Accounting parity:
+  // each accounts the identical op name and bytes as its blocking twin.
 
   /// Nonblocking tagged send; payload is in flight when this returns.
   template <class T>
@@ -342,26 +337,6 @@ public:
     unpack_into(bytes, out);
   }
 
-  /// Blocking receive into a reusable typed buffer: together with the
-  /// transport's recycled message buffers the steady-state comm loop
-  /// performs zero heap allocations (asserted in test_obs).
-  template <class T>
-  void recv_into(int src, int tag, std::vector<T>& out) {
-    obs::ObsScope span("comm.recv", obs::Cat::kComm);
-    auto& scratch = recv_scratch();
-    state_->recv_into(rank_, src, tag, scratch);
-    unpack_into(scratch, out);
-  }
-
-  /// Paired exchange (halo pattern) into a reusable buffer.
-  template <class T>
-  void sendrecv_into(int dst, std::span<const T> payload, int src, int tag,
-                     std::vector<T>& out) {
-    obs::ObsScope span("comm.sendrecv", obs::Cat::kComm);
-    send(dst, tag, payload);
-    recv_into(src, tag, out);
-  }
-
   TrafficStats stats() const { return state_->stats(); }
   /// This rank's exact communication account (per-op calls/bytes, wait
   /// time) since construction or the last reset_stats().
@@ -386,13 +361,6 @@ private:
       throw std::runtime_error("SimComm: payload size mismatch");
     out.resize(bytes.size() / sizeof(T));
     std::memcpy(out.data(), bytes.data(), bytes.size());
-  }
-
-  /// Reusable per-thread byte staging for recv_into (each logical rank is
-  /// its own thread or process, so a thread_local is per-rank scratch).
-  static std::vector<std::byte>& recv_scratch() {
-    thread_local std::vector<std::byte> scratch;
-    return scratch;
   }
 
   std::shared_ptr<Transport> state_;

@@ -56,8 +56,9 @@ struct RankOpStats {
 /// Sec. 9): every collective entry, point-to-point message, and the wall
 /// time this rank spent blocked waiting on peers. Op keys are the Comm
 /// method names: "barrier", "broadcast", "gather", "allgatherv",
-/// "allreduce", "send", "recv" (allgather and sendrecv account under the
-/// primitives they are built from).
+/// "allreduce", "send", "recv". allgather, sendrecv and the nonblocking
+/// isend/irecv/iallgatherv account under the primitives they are built
+/// from.
 struct RankTraffic {
   std::map<std::string, RankOpStats> ops;
   double wait_seconds = 0.0; ///< total time blocked in barrier/exchange/recv
@@ -131,19 +132,12 @@ public:
   virtual void send(int src, int dst, int tag,
                     std::span<const std::byte> payload) = 0;
   virtual std::vector<std::byte> recv(int dst, int src, int tag) = 0;
-  /// Blocking receive into a caller-owned reusable buffer: `out` is
-  /// resized to the payload and its capacity is reused across calls, so
-  /// the steady-state comm loop performs zero heap allocations (asserted
-  /// in test_obs). Default forwards to recv(); backends override to
-  /// recycle their internal message buffers too.
-  virtual void recv_into(int dst, int src, int tag,
-                         std::vector<std::byte>& out);
 
-  // --- nonblocking primitives (--comm=async consumers) -----------------
+  // --- nonblocking primitives ------------------------------------------
   // Accounting parity contract: an async op accounts the identical op
   // name and byte count as its blocking twin, exactly once, so per-rank
-  // comm_bytes is bit-identical across --comm modes (and across
-  // transports, as before). Only wait/overlap seconds may differ.
+  // comm_bytes does not depend on whether a call site posts or blocks
+  // (nor on the transport). Only wait/overlap seconds may differ.
 
   /// Nonblocking tagged send. The payload is consumed (copied toward the
   /// receiver) at post time; the returned handle completes with an empty
@@ -250,8 +244,8 @@ void set_default_transport(TransportKind kind);
 /// the live-but-wedged peer the watchdog cannot see. <= 0 (the default)
 /// preserves the historical block-forever behavior and costs nothing on
 /// the fast path. Initialized from MLMD_COMM_TIMEOUT_MS (milliseconds) on
-/// first use; set_progress_timeout (the --comm-timeout-ms flag) overrides
-/// it.
+/// first use; set_progress_timeout overrides it. Both reject a non-finite
+/// value (NaN, +-inf) with std::invalid_argument.
 double progress_timeout();
 void set_progress_timeout(double seconds);
 

@@ -473,19 +473,6 @@ public:
     return payload;
   }
 
-  void recv_into(int dst, int src, int tag,
-                 std::vector<std::byte>& out) override {
-    auto payload = recv(dst, src, tag);
-    out.assign(payload.begin(), payload.end());
-    // Recycle the frame buffer: drain_locked seeds the next frame's
-    // partial from spare_, so the steady-state send -> recv_into loop
-    // performs zero heap allocations once capacities have warmed up.
-    if (spare_.size() < 64) {
-      payload.clear();
-      spare_.push_back(std::move(payload));
-    }
-  }
-
   void abort(const std::string& reason) override {
     Locked lk(this);
     poison_locked(reason);
@@ -794,12 +781,6 @@ private:
         std::memcpy(&len, hdr + 4, 8);
         cur.tag = t32;
         cur.remaining = len;
-        // Seed the frame buffer from the recycled pool (recv_into retires
-        // buffers there) so steady-state frames reuse warmed capacity.
-        if (cur.partial.capacity() == 0 && !spare_.empty()) {
-          cur.partial = std::move(spare_.back());
-          spare_.pop_back();
-        }
         cur.partial.clear();
         cur.partial.reserve(static_cast<std::size_t>(len));
         cur.have_hdr = true;
@@ -883,8 +864,6 @@ private:
   // unmatched frame queue that restores out-of-order tag matching.
   std::map<std::pair<int, int>, RingCursor> cursors_; // keyed (dst, src)
   std::map<PendKey, std::vector<std::vector<std::byte>>> pending_;
-  // Retired frame buffers recycled into drain cursors (capacity kept).
-  std::vector<std::vector<std::byte>> spare_;
 };
 
 } // namespace

@@ -176,15 +176,7 @@ void GroupState::send(int src, int dst, int tag, std::span<const std::byte> payl
   {
     std::lock_guard lk(mu_);
     throw_if_aborted_locked();
-    // Reuse a retired message buffer (recv_into recycles them) so the
-    // steady-state send -> recv_into loop performs zero heap allocations.
-    std::vector<std::byte> buf;
-    if (!pool_.empty()) {
-      buf = std::move(pool_.back());
-      pool_.pop_back();
-    }
-    buf.assign(payload.begin(), payload.end());
-    mailboxes_[{src, dst, tag}].push_back(std::move(buf));
+    mailboxes_[{src, dst, tag}].emplace_back(payload.begin(), payload.end());
   }
   {
     std::lock_guard sg(stats_mu_);
@@ -222,19 +214,6 @@ std::vector<std::byte> GroupState::recv(int dst, int src, int tag) {
   account(dst, "recv", payload.size());
   if (waited > 0.0) account_wait(dst, waited);
   return payload;
-}
-
-void GroupState::recv_into(int dst, int src, int tag,
-                           std::vector<std::byte>& out) {
-  auto payload = recv(dst, src, tag);
-  out.assign(payload.begin(), payload.end());
-  // Recycle the message buffer for a later send (capacity kept, bounded
-  // so a burst cannot pin memory forever).
-  std::lock_guard lk(mu_);
-  if (pool_.size() < 64) {
-    payload.clear();
-    pool_.push_back(std::move(payload));
-  }
 }
 
 CommHandle GroupState::iexchange(int rank, std::span<const std::byte> contrib,
@@ -392,6 +371,9 @@ static TrafficStats run_inproc(int nranks,
 
 TrafficStats run(int nranks, TransportKind kind,
                  const std::function<void(Comm&)>& body) {
+  // Read (and validate) MLMD_COMM_TIMEOUT_MS on the caller's thread before
+  // any rank starts, so a bad value fails the run up front.
+  (void)progress_timeout();
   switch (kind) {
     case TransportKind::kShm: return detail::run_shm(nranks, body);
     case TransportKind::kInproc: break;

@@ -1,8 +1,10 @@
 #include "mlmd/par/transport.hpp"
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -71,12 +73,6 @@ CommHandle Transport::make_deferred(
   st->complete = std::move(complete);
   note_handle(rank, false, 0.0);
   return CommHandle(std::move(st));
-}
-
-void Transport::recv_into(int dst, int src, int tag,
-                          std::vector<std::byte>& out) {
-  auto payload = recv(dst, src, tag);
-  out.assign(payload.begin(), payload.end());
 }
 
 CommHandle Transport::isend(int src, int dst, int tag,
@@ -186,20 +182,30 @@ void set_default_transport(TransportKind kind) {
 
 namespace {
 
+/// The one validity check for a progress timeout, whichever way it is
+/// set: a non-finite budget is rejected, because NaN would slice every
+/// wait to nothing and busy-spin with stall detection off. `<= 0` stays
+/// "no timeout".
+double checked_timeout(double seconds, const char* source,
+                       const std::string& value, const char* unit) {
+  if (!std::isfinite(seconds))
+    throw std::invalid_argument(std::string(source) + ": bad value '" + value +
+                                "' (expected finite " + unit + ")");
+  return seconds;
+}
+
 double env_progress_timeout() {
   if (const char* e = std::getenv("MLMD_COMM_TIMEOUT_MS"); e && *e) {
     const std::string value(e);
-    std::size_t used = 0;
-    double ms = 0.0;
+    double ms = std::numeric_limits<double>::quiet_NaN(); // unparsable
     try {
-      ms = std::stod(value, &used);
+      std::size_t used = 0;
+      const double v = std::stod(value, &used);
+      if (used == value.size()) ms = v;
     } catch (...) {
-      used = 0;
     }
-    if (used != value.size())
-      throw std::invalid_argument("MLMD_COMM_TIMEOUT_MS: bad value '" + value +
-                                  "' (expected milliseconds)");
-    return ms * 1e-3;
+    return checked_timeout(ms * 1e-3, "MLMD_COMM_TIMEOUT_MS", value,
+                           "milliseconds");
   }
   return 0.0;
 }
@@ -214,7 +220,8 @@ double& progress_timeout_slot() {
 double progress_timeout() { return progress_timeout_slot(); }
 
 void set_progress_timeout(double seconds) {
-  progress_timeout_slot() = seconds;
+  progress_timeout_slot() = checked_timeout(
+      seconds, "set_progress_timeout", std::to_string(seconds), "seconds");
 }
 
 } // namespace mlmd::par

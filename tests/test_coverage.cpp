@@ -1,14 +1,11 @@
 // Cross-cutting edge-case coverage: identities at zero time step, cutoff
-// continuity, degenerate layouts (empty band slices), linearity of the
-// EM solver, and misc container/model invariants that the per-module
-// suites don't pin down.
+// continuity, linearity of the EM solver, and misc container/model
+// invariants that the per-module suites don't pin down.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "mlmd/common/rng.hpp"
-#include "mlmd/lfd/band_decomp.hpp"
 #include "mlmd/lfd/fermi.hpp"
 #include "mlmd/lfd/kin_prop.hpp"
 #include "mlmd/lfd/vloc.hpp"
@@ -88,29 +85,6 @@ TEST(Maxwell1D, LinearSuperpositionOfSources) {
   auto a12 = run(true, true);
   for (std::size_t c = 0; c < n; ++c)
     EXPECT_NEAR(a12[c], a1[c] + a2[c], 1e-12) << c;
-}
-
-TEST(BandLayout, MoreRanksThanOrbitalsGivesEmptySlices) {
-  // 5 ranks, 3 orbitals: two ranks own nothing; all distributed ops must
-  // still agree with the serial result.
-  const std::size_t ngrid = 27, norb = 3;
-  mlmd::Rng rng(3);
-  la::Matrix<std::complex<double>> psi(ngrid, norb);
-  for (std::size_t i = 0; i < psi.size(); ++i)
-    psi.data()[i] = std::complex<double>(rng.normal(), rng.normal());
-  la::Matrix<std::complex<double>> serial(norb, norb);
-  la::gemm(la::Trans::kC, la::Trans::kN, std::complex<double>(0.1, 0.0), psi, psi,
-           std::complex<double>{}, serial);
-
-  par::run(5, [&](par::Comm& comm) {
-    auto layout = lfd::BandLayout::split(comm, norb);
-    la::Matrix<std::complex<double>> slice(ngrid, layout.nlocal());
-    for (std::size_t g = 0; g < ngrid; ++g)
-      for (std::size_t s = layout.s0; s < layout.s1; ++s)
-        slice(g, s - layout.s0) = psi(g, s);
-    auto s = lfd::distributed_overlap(comm, layout, slice, slice, 0.1);
-    EXPECT_LT(la::max_abs_diff(s, serial), 1e-11);
-  });
 }
 
 TEST(Fermi, SpinlessChannel) {

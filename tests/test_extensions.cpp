@@ -1,47 +1,18 @@
-// Tests for the extension batch: XYZ trajectory I/O, the PZ81 LDA
-// functional, polar vortex textures and in-plane winding, distributed
-// density, and band-parallel propagation matching the serial domain.
+// Tests for the extension batch: the PZ81 LDA functional and polar
+// vortex textures with their in-plane winding.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
+#include <numbers>
+#include <vector>
 
-#include "mlmd/lfd/band_decomp.hpp"
-#include "mlmd/lfd/density.hpp"
-#include "mlmd/lfd/nlp_prop.hpp"
-#include "mlmd/lfd/propagator.hpp"
 #include "mlmd/lfd/vloc.hpp"
-#include "mlmd/qxmd/xyz.hpp"
 #include "mlmd/topo/topology.hpp"
 
 namespace {
 
 using namespace mlmd;
-
-// --- XYZ trajectory I/O ---------------------------------------------------
-
-TEST(Xyz, RoundTripFrames) {
-  auto atoms = qxmd::make_cubic_lattice(2, 2, 2, 3.5, 100.0);
-  atoms.type[3] = 2;
-  const std::string path = ::testing::TempDir() + "traj.xyz";
-  std::remove(path.c_str());
-  qxmd::append_xyz(atoms, path, "frame 0");
-  atoms.pos(0)[0] += 0.5;
-  qxmd::append_xyz(atoms, path, "frame 1");
-
-  auto frames = qxmd::read_xyz(path);
-  ASSERT_EQ(frames.size(), 2u);
-  EXPECT_EQ(frames[0].n(), 8u);
-  EXPECT_DOUBLE_EQ(frames[0].box.lx, 7.0);
-  EXPECT_EQ(frames[0].type[3], 2);
-  EXPECT_NEAR(frames[1].pos(0)[0] - frames[0].pos(0)[0], 0.5, 1e-9);
-  std::remove(path.c_str());
-}
-
-TEST(Xyz, MissingFileThrows) {
-  EXPECT_THROW(qxmd::read_xyz("/nonexistent/t.xyz"), std::runtime_error);
-}
 
 // --- PZ81 LDA ---------------------------------------------------------------
 
@@ -112,81 +83,6 @@ TEST(Vortex, UniformFieldHasNoWinding) {
   ferro::FerroLattice lat(16, 16);
   for (auto& u : lat.field()) u = {0.3, 0.1, 0.5};
   EXPECT_NEAR(topo::in_plane_winding(lat, 8, 8, 5.0), 0.0, 1e-9);
-}
-
-// --- distributed density & band-parallel propagation ------------------------
-
-TEST(BandParallel, DistributedDensityMatchesSerial) {
-  grid::Grid3 g{6, 6, 6, 0.6, 0.6, 0.6};
-  lfd::SoAWave<double> w(g, 6);
-  lfd::init_plane_waves(w);
-  std::vector<double> f = {2.0, 2.0, 1.0, 0.5, 0.0, 0.0};
-  auto rho_serial = lfd::density(w, f);
-
-  par::run(3, [&](par::Comm& comm) {
-    auto layout = lfd::BandLayout::split(comm, 6);
-    la::Matrix<std::complex<double>> slice(g.size(), layout.nlocal());
-    std::vector<double> f_slice;
-    for (std::size_t gp = 0; gp < g.size(); ++gp)
-      for (std::size_t s = layout.s0; s < layout.s1; ++s)
-        slice(gp, s - layout.s0) = w.at(gp, s);
-    for (std::size_t s = layout.s0; s < layout.s1; ++s) f_slice.push_back(f[s]);
-    auto rho = lfd::distributed_density(comm, slice, f_slice);
-    ASSERT_EQ(rho.size(), rho_serial.size());
-    for (std::size_t i = 0; i < rho.size(); ++i)
-      EXPECT_NEAR(rho[i], rho_serial[i], 1e-12);
-  });
-}
-
-TEST(BandParallel, PropagationMatchesSerialDomain) {
-  // Full integration: propagate band-distributed orbitals (grid-local
-  // kinetic/potential on slices + distributed nonlocal correction) and
-  // compare the final density against the serial propagation.
-  grid::Grid3 g{6, 6, 6, 0.6, 0.6, 0.6};
-  const std::size_t norb = 4;
-  lfd::SoAWave<double> serial(g, norb);
-  lfd::init_plane_waves(serial);
-  auto psi0 = serial.psi;
-  std::vector<double> vloc(g.size());
-  for (std::size_t i = 0; i < vloc.size(); ++i) vloc[i] = 0.1 * std::cos(0.3 * i);
-  std::vector<double> f = {2.0, 2.0, 0.0, 0.0};
-
-  lfd::KinParams kin;
-  kin.dt = 0.05;
-  const std::complex<double> delta(0.0, -0.02);
-  const int nsteps = 5;
-  for (int step = 0; step < nsteps; ++step) {
-    lfd::split_step(serial, vloc, kin, lfd::PropOrder::kSecond,
-                    lfd::KinVariant::kReordered);
-    lfd::nlp_prop(serial, psi0, delta);
-  }
-  auto rho_serial = lfd::density(serial, f);
-
-  par::run(2, [&](par::Comm& comm) {
-    auto layout = lfd::BandLayout::split(comm, norb);
-    // Build this rank's slice as a wavefunction with nlocal orbitals so
-    // the grid-local kernels run unchanged on it.
-    lfd::SoAWave<double> wslice(g, layout.nlocal());
-    la::Matrix<std::complex<double>> psi0_slice(g.size(), layout.nlocal());
-    lfd::SoAWave<double> init(g, norb);
-    lfd::init_plane_waves(init);
-    std::vector<double> f_slice;
-    for (std::size_t gp = 0; gp < g.size(); ++gp)
-      for (std::size_t s = layout.s0; s < layout.s1; ++s) {
-        wslice.at(gp, s - layout.s0) = init.at(gp, s);
-        psi0_slice(gp, s - layout.s0) = init.at(gp, s);
-      }
-    for (std::size_t s = layout.s0; s < layout.s1; ++s) f_slice.push_back(f[s]);
-
-    for (int step = 0; step < nsteps; ++step) {
-      lfd::split_step(wslice, vloc, kin, lfd::PropOrder::kSecond,
-                      lfd::KinVariant::kReordered);
-      lfd::distributed_nlp_prop(comm, layout, g, wslice.psi, psi0_slice, delta);
-    }
-    auto rho = lfd::distributed_density(comm, wslice.psi, f_slice);
-    for (std::size_t i = 0; i < rho.size(); ++i)
-      EXPECT_NEAR(rho[i], rho_serial[i], 1e-9);
-  });
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 // Tests for the third extension batch: angular (three-body) descriptors
-// and forces, perovskite structures, radial distribution functions,
-// NN/MM adaptive embedding, and Fermi-Dirac occupations.
+// and forces, perovskite structures, radial distribution functions, and
+// Fermi-Dirac occupations.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,8 @@
 
 #include "mlmd/analysis/rdf.hpp"
 #include "mlmd/common/rng.hpp"
+#include "mlmd/nnq/allegro.hpp"
 #include "mlmd/nnq/angular.hpp"
-#include "mlmd/nnq/qmmm.hpp"
 #include "mlmd/qxmd/structures.hpp"
 #include "mlmd/lfd/fermi.hpp"
 
@@ -194,82 +194,6 @@ TEST(Rdf, RejectsBadArguments) {
   EXPECT_THROW(analysis::radial_distribution(atoms, 100.0, 10),
                std::invalid_argument);
   EXPECT_THROW(analysis::radial_distribution(atoms, 3.0, 0), std::invalid_argument);
-}
-
-// --- NN/MM embedding ---------------------------------------------------------------
-
-TEST(QmMm, WeightProfile) {
-  auto atoms = qxmd::make_cubic_lattice(4, 4, 4, 4.0, 100.0);
-  nnq::EmbeddingOptions opt;
-  opt.center = {8.0, 8.0, 8.0};
-  opt.r_qm = 4.0; // nearest lattice site sits at sqrt(12) ~ 3.46
-  opt.r_blend = 3.0;
-  // Atom at the centre: w = 1; far corner: w = 0.
-  std::size_t center_atom = 0, far_atom = 0;
-  double best_c = 1e9, best_f = -1.0;
-  for (std::size_t i = 0; i < atoms.n(); ++i) {
-    const auto d = atoms.box.mic(atoms.pos(i), opt.center.data());
-    const double r = std::sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]);
-    if (r < best_c) {
-      best_c = r;
-      center_atom = i;
-    }
-    if (r > best_f) {
-      best_f = r;
-      far_atom = i;
-    }
-  }
-  EXPECT_DOUBLE_EQ(nnq::embedding_weight(opt, atoms, center_atom), 1.0);
-  EXPECT_DOUBLE_EQ(nnq::embedding_weight(opt, atoms, far_atom), 0.0);
-}
-
-TEST(QmMm, PureRegionsMatchTheirModels) {
-  auto atoms = jittered(4, 4.2, 7);
-  nnq::AtomModel nn(nnq::RadialBasis::make(5, 1.5, 6.0, 1.2), {10, 6}, 3);
-  nnq::EmbeddingOptions opt;
-  opt.center = {atoms.box.lx / 2, atoms.box.ly / 2, atoms.box.lz / 2};
-  opt.r_qm = 4.0;
-  opt.r_blend = 2.0;
-  opt.mm.rc = 6.0;
-  qxmd::NeighborList nl(atoms, 6.0);
-
-  std::vector<double> f_mix, f_nn, f_mm;
-  nnq::embedded_forces(nn, atoms, nl, opt, f_mix);
-  nn.energy_forces(atoms, nl, f_nn);
-  qxmd::lj_energy_forces(atoms, nl, opt.mm, f_mm);
-
-  for (std::size_t i = 0; i < atoms.n(); ++i) {
-    const double w = nnq::embedding_weight(opt, atoms, i);
-    for (int k = 0; k < 3; ++k) {
-      const auto idx = 3 * i + static_cast<std::size_t>(k);
-      if (w == 1.0)
-        EXPECT_DOUBLE_EQ(f_mix[idx], f_nn[idx]);
-      else if (w == 0.0)
-        EXPECT_DOUBLE_EQ(f_mix[idx], f_mm[idx]);
-      else
-        EXPECT_NEAR(f_mix[idx], w * f_nn[idx] + (1 - w) * f_mm[idx], 1e-12);
-    }
-  }
-}
-
-TEST(QmMm, WeightContinuousAcrossBoundary) {
-  auto atoms = qxmd::make_cubic_lattice(2, 2, 2, 5.0, 100.0);
-  nnq::EmbeddingOptions opt;
-  opt.center = {5.0, 5.0, 5.0};
-  opt.r_qm = 2.0;
-  opt.r_blend = 2.0;
-  // Sample w along a ray; increments must be small (continuity).
-  double prev = 1.0;
-  for (double r = 0.0; r < 5.0; r += 0.05) {
-    qxmd::Atoms probe = atoms;
-    probe.pos(0)[0] = 5.0 + r;
-    probe.pos(0)[1] = 5.0;
-    probe.pos(0)[2] = 5.0;
-    const double w = nnq::embedding_weight(opt, probe, 0);
-    EXPECT_LE(w, prev + 1e-12); // monotone decreasing
-    EXPECT_LT(std::abs(w - prev), 0.05);
-    prev = w;
-  }
 }
 
 // --- Fermi occupations -----------------------------------------------------------

@@ -1,91 +1,18 @@
-// Tests for the sixth extension batch: the band-parallel LFD domain,
-// virial pressure + Berendsen barostat, and the structure factor.
+// Tests for the sixth extension batch: virial pressure and the Berendsen
+// barostat.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
+#include <vector>
 
-#include "mlmd/analysis/structure_factor.hpp"
 #include "mlmd/common/rng.hpp"
-#include "mlmd/la/ortho.hpp"
-#include "mlmd/lfd/band_domain.hpp"
-#include "mlmd/lfd/domain.hpp"
 #include "mlmd/qxmd/pair_potential.hpp"
 #include "mlmd/qxmd/structures.hpp"
 
 namespace {
 
 using namespace mlmd;
-
-// --- BandParallelDomain --------------------------------------------------------
-
-class BandDomainSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(BandDomainSweep, MatchesSerialLfdDomainPhysics) {
-  const int nranks = GetParam();
-  grid::Grid3 g{6, 6, 6, 0.6, 0.6, 0.6};
-  const std::size_t norb = 6, nfilled = 3;
-  auto vloc = lfd::ionic_potential(
-      g, {{0.5 * g.lx(), 0.5 * g.ly(), 0.5 * g.lz(), 2.0, 1.5, 2.0}});
-
-  // Serial reference with the identical configuration (no init relax, no
-  // self-consistency: the band domain drives a static potential).
-  lfd::LfdOptions sopt;
-  sopt.dt_qd = 0.05;
-  sopt.nlp_every = 4;
-  sopt.self_consistent = false;
-  sopt.init_relax_steps = 0;
-  sopt.kin_variant = lfd::KinVariant::kReordered;
-  lfd::SoAWave<double> ref(g, norb);
-  lfd::init_plane_waves(ref);
-  la::lowdin_orthonormalize(ref.psi, g.dv());
-  auto psi0 = ref.psi;
-  std::vector<double> f(norb, 0.0);
-  for (std::size_t s = 0; s < nfilled; ++s) f[s] = 2.0;
-  const double a[3] = {0.0, 0.4, 0.0};
-  for (int step = 1; step <= 8; ++step) {
-    lfd::vloc_prop(ref, vloc, 0.025);
-    lfd::KinParams kp;
-    kp.dt = 0.05;
-    kp.a[1] = 0.4;
-    lfd::kin_prop(ref, kp, lfd::KinVariant::kReordered);
-    lfd::vloc_prop(ref, vloc, 0.025);
-    if (step % 4 == 0)
-      lfd::nlp_prop(ref, psi0, std::complex<double>(0.0, -0.02) * (0.05 * 4.0));
-  }
-  auto rho_ref = lfd::density(ref, f);
-
-  par::run(nranks, [&](par::Comm& comm) {
-    lfd::BandDomainOptions opt;
-    opt.dt_qd = 0.05;
-    opt.nlp_every = 4;
-    lfd::BandParallelDomain dom(comm, g, norb, nfilled, vloc, opt);
-    for (int step = 0; step < 8; ++step) dom.qd_step(a);
-    auto rho = dom.density_field();
-    ASSERT_EQ(rho.size(), rho_ref.size());
-    for (std::size_t i = 0; i < rho.size(); ++i)
-      EXPECT_NEAR(rho[i], rho_ref[i], 1e-9) << i;
-    EXPECT_GE(dom.n_exc(), 0.0);
-  });
-}
-
-INSTANTIATE_TEST_SUITE_P(Ranks, BandDomainSweep, ::testing::Values(1, 2, 3));
-
-TEST(BandDomain, NexcGrowsUnderDriving) {
-  grid::Grid3 g{6, 6, 6, 0.6, 0.6, 0.6};
-  auto vloc = lfd::ionic_potential(
-      g, {{0.5 * g.lx(), 0.5 * g.ly(), 0.5 * g.lz(), 2.0, 1.5, 2.0}});
-  par::run(2, [&](par::Comm& comm) {
-    lfd::BandParallelDomain dom(comm, g, 4, 2, vloc);
-    const double n0 = dom.n_exc();
-    for (int s = 0; s < 20; ++s) {
-      double a[3] = {0.0, 1.0 * std::sin(0.4 * s), 0.0};
-      dom.qd_step(a);
-    }
-    EXPECT_GE(dom.n_exc(), n0);
-  });
-}
 
 // --- virial pressure / barostat ----------------------------------------------
 
@@ -161,47 +88,6 @@ TEST(Barostat, RelaxesTowardTargetPressure) {
   qxmd::NeighborList nl1(atoms, p.rc);
   const double p1 = qxmd::pressure(atoms, nl1, p);
   EXPECT_LT(std::abs(p1 - target), std::abs(p0 - target));
-}
-
-// --- structure factor ------------------------------------------------------------
-
-TEST(StructureFactor, BraggPeakAtLatticeVector) {
-  auto atoms = qxmd::make_cubic_lattice(6, 6, 6, 4.0, 100.0);
-  auto line = analysis::structure_factor_line(atoms, 0, 12);
-  // Perfect lattice: S = N at k = 2 pi m_cell / a0 (m = 6 here), ~0 else.
-  EXPECT_EQ(analysis::bragg_peak_index(line), 6);
-  EXPECT_NEAR(line.s[6], static_cast<double>(atoms.n()), 1e-6 * atoms.n());
-  EXPECT_LT(line.s[3], 1e-9 * atoms.n());
-}
-
-TEST(StructureFactor, PerovskiteBasisSelectsReflections) {
-  // Along z the 5-atom basis sits on planes z = 0 (A + one O) and
-  // z = a0/2 (B + two O): amplitudes 2 and 3 per cell. The strongest
-  // reflection is therefore the HALF-cell one (m = 2*ncells, f = 2+3),
-  // while the cell-periodicity reflection m = ncells survives weakly
-  // (f = 2-3) — a real basis-contrast (form factor) effect.
-  qxmd::PerovskiteSpec spec;
-  auto atoms = qxmd::make_perovskite(4, 4, 4, spec);
-  auto line = analysis::structure_factor_line(atoms, 2, 8);
-  EXPECT_EQ(analysis::bragg_peak_index(line), 8);
-  EXPECT_GT(line.s[4], 1.0);           // basis-contrast reflection present
-  EXPECT_GT(line.s[8], 10.0 * line.s[4]); // but much weaker than m = 8
-  EXPECT_LT(line.s[3], 1e-9 * line.s[8]); // non-lattice vectors dark
-}
-
-TEST(StructureFactor, DisorderSuppressesPeak) {
-  auto atoms = qxmd::make_cubic_lattice(6, 6, 6, 4.0, 100.0);
-  auto before = analysis::structure_factor_line(atoms, 0, 8).s[6];
-  mlmd::Rng rng(9);
-  for (auto& x : atoms.r) x += 0.6 * rng.normal();
-  auto after = analysis::structure_factor_line(atoms, 0, 8).s[6];
-  EXPECT_LT(after, 0.7 * before);
-}
-
-TEST(StructureFactor, ZeroKGivesN) {
-  auto atoms = qxmd::make_cubic_lattice(2, 2, 2, 4.0, 100.0);
-  EXPECT_DOUBLE_EQ(analysis::structure_factor(atoms, {0, 0, 0}),
-                   static_cast<double>(atoms.n()));
 }
 
 } // namespace

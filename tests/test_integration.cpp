@@ -1,12 +1,12 @@
 // Cross-module integration scenarios that tie physics together end to
 // end: Peierls diamagnetic current, delta-kick spectroscopy vs the
 // orbital spectrum, NN energy prediction on held-out lattice physics, and
-// trajectory plumbing (driver -> XYZ -> reader).
+// the NN MD driver's trajectory.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
+#include <vector>
 
 #include "mlmd/analysis/spectrum.hpp"
 #include "mlmd/common/units.hpp"
@@ -14,7 +14,6 @@
 #include "mlmd/nnq/allegro.hpp"
 #include "mlmd/nnq/md_driver.hpp"
 #include "mlmd/nnq/train.hpp"
-#include "mlmd/qxmd/xyz.hpp"
 
 namespace {
 
@@ -121,18 +120,15 @@ TEST(Integration, DriverTrajectoryRoundTrip) {
   qxmd::thermalize(atoms, 0.002, 9);
   nnq::NnqmdDriver driver(model, nullptr, atoms, {});
 
-  const std::string path = ::testing::TempDir() + "drv.xyz";
-  std::remove(path.c_str());
+  std::vector<qxmd::Atoms> frames;
   for (int s = 0; s < 5; ++s) {
     driver.step();
-    qxmd::append_xyz(driver.atoms(), path, "step");
+    frames.push_back(driver.atoms());
   }
-  auto frames = qxmd::read_xyz(path);
   ASSERT_EQ(frames.size(), 5u);
   EXPECT_EQ(frames[0].n(), 8u);
   // Atoms moved between frames.
   EXPECT_NE(frames[0].pos(0)[0], frames[4].pos(0)[0]);
-  std::remove(path.c_str());
 }
 
 } // namespace

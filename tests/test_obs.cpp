@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -376,60 +375,6 @@ TEST(Obs, AccountSteadyStateIsAllocationFree) {
     const std::uint64_t after = g_heap_allocs.load();
     EXPECT_EQ(after - before, 0u);
   });
-}
-
-TEST(Obs, SendRecvIntoSteadyStateIsAllocationFree) {
-  // The full blocking p2p round trip on the reusable-buffer path: send()
-  // recycles retired message buffers from the transport pool, recv_into()
-  // lands in a per-thread byte scratch and a caller-owned typed buffer,
-  // and the mailbox map node for a (src,dst,tag) key persists once
-  // created — so after warm-up a halo-style exchange loop must not touch
-  // the heap at all, on either rank.
-  using namespace mlmd::par;
-  Tracer::enable(false);
-  std::array<std::uint64_t, 2> rank_allocs{1, 1};
-  run(2, [&](Comm& comm) {
-    const int peer = 1 - comm.rank();
-    std::vector<double> halo(64, static_cast<double>(comm.rank()));
-    std::vector<double> got;
-    for (int i = 0; i < 8; ++i) // warm pool, scratch, mailbox, counters
-      comm.sendrecv_into(peer, std::span<const double>(halo), peer,
-                         /*tag=*/0, got);
-    // The free-running loop below is not lockstep: a rank can run one
-    // iteration ahead of its peer, so a mailbox queue briefly holds two
-    // messages and up to five pool buffers are outside the pool at once
-    // (at most three queued across both directions — both queues at
-    // depth two simultaneously is impossible — plus one per rank in
-    // transit inside recv_into between queue-pop and pool-push). A
-    // lucky lockstep warm-up circulates only two buffers and leaves
-    // queue capacity 1, so the first drifted iteration allocates in
-    // send(). Warm the worst case deterministically: three sends in
-    // flight per rank, with a barrier before the matching receives so
-    // the peer cannot drain the queue while it fills — each queue
-    // verifiably reaches depth 3 (capacity >= 3) and six buffers enter
-    // circulation. Two closing barriers, not one: a barrier accounts
-    // its op AFTER the rendezvous releases, so the peer's first
-    // "barrier" map-node insert could land inside this rank's
-    // measurement window — barrier #1 creates both nodes, barrier #2's
-    // post-release accounting is then allocation-free.
-    comm.send(peer, /*tag=*/0, std::span<const double>(halo));
-    comm.send(peer, /*tag=*/0, std::span<const double>(halo));
-    comm.send(peer, /*tag=*/0, std::span<const double>(halo));
-    comm.barrier(); // both queues hold 3 before any drain begins
-    comm.recv_into(peer, /*tag=*/0, got);
-    comm.recv_into(peer, /*tag=*/0, got);
-    comm.recv_into(peer, /*tag=*/0, got);
-    comm.barrier();
-    comm.barrier();
-    const std::uint64_t before = g_heap_allocs.load();
-    for (int i = 0; i < 256; ++i)
-      comm.sendrecv_into(peer, std::span<const double>(halo), peer,
-                         /*tag=*/0, got);
-    rank_allocs[static_cast<std::size_t>(comm.rank())] =
-        g_heap_allocs.load() - before;
-  });
-  EXPECT_EQ(rank_allocs[0], 0u);
-  EXPECT_EQ(rank_allocs[1], 0u);
 }
 
 TEST(Obs, HistogramMergeFoldsCountsSumsAndExtremes) {

@@ -15,6 +15,7 @@
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <limits>
@@ -364,23 +365,17 @@ TEST_P(TransportConformance, HandleAccountsBalanceAndMatchBlockingOps) {
   EXPECT_EQ(failures, 0);
 }
 
-TEST_P(TransportConformance, RecvIntoReusesBufferAndSendrecvMatches) {
+TEST_P(TransportConformance, SendrecvHaloPatternMatches) {
   int failures = 0;
   std::mutex mu;
   run_k(2, [&](Comm& c) {
     const int peer = 1 - c.rank();
-    std::vector<double> out;
-    out.reserve(8);
-    const double* cap = out.data();
     bool ok = true;
     for (int s = 0; s < 4; ++s) {
       std::array<double, 8> halo{};
       halo.fill(static_cast<double>(c.rank() * 10 + s));
-      c.sendrecv_into(peer, std::span<const double>(halo), peer, s, out);
-      ok = ok && out.size() == 8 &&
-           out.front() == static_cast<double>(peer * 10 + s);
-      // The typed destination buffer must keep its storage once warm.
-      ok = ok && out.data() == cap;
+      const auto out = c.sendrecv(peer, std::span<const double>(halo), peer, s);
+      ok = ok && out == std::vector<double>(8, static_cast<double>(peer * 10 + s));
     }
     count_rank_failures(c, ok, &failures, &mu);
   });
@@ -545,6 +540,49 @@ TEST(ReduceCombine, NanPropagatesThroughEveryOp) {
   EXPECT_DOUBLE_EQ(detail::reduce_combine(2.0, 3.0, ReduceOp::kMax), 3.0);
   // Integers never hit the NaN path.
   EXPECT_EQ(detail::reduce_combine(5, 2, ReduceOp::kMin), 2);
+}
+
+// --- progress timeout validation -------------------------------------------
+
+// std::stod accepts "nan" and "inf"; a NaN budget would slice every
+// blocked wait to a NaN duration (stall detection off, busy-spin).
+// MLMD_COMM_TIMEOUT_MS is read once per process, so each value is checked
+// in a freshly re-executed child (threadsafe death-test style).
+TEST(ProgressTimeoutDeathTest, NonFiniteEnvValueFailsNamingTheVariable) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    EXPECT_EXIT(
+        {
+          setenv("MLMD_COMM_TIMEOUT_MS", value, 1);
+          try {
+            (void)progress_timeout();
+          } catch (const std::invalid_argument& e) {
+            std::fputs(e.what(), stderr);
+            std::_Exit(3);
+          }
+          std::_Exit(0);
+        },
+        ::testing::ExitedWithCode(3), "MLMD_COMM_TIMEOUT_MS: bad value")
+        << value;
+  }
+  // A finite value still arms the budget, in seconds.
+  EXPECT_EXIT(
+      {
+        setenv("MLMD_COMM_TIMEOUT_MS", "200", 1);
+        std::_Exit(progress_timeout() == 0.2 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(ProgressTimeout, SetterRejectsNonFiniteAndKeepsTheBudget) {
+  const double inf = std::numeric_limits<double>::infinity();
+  set_progress_timeout(0.5);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf, -inf})
+    EXPECT_THROW(set_progress_timeout(bad), std::invalid_argument) << bad;
+  EXPECT_EQ(progress_timeout(), 0.5);
+  set_progress_timeout(-1.0); // <= 0 still means "no timeout"
+  EXPECT_EQ(progress_timeout(), -1.0);
+  set_progress_timeout(0.0);
 }
 
 // --- transport selection ---------------------------------------------------
